@@ -5,7 +5,7 @@
 //! Plain `Instant`-based harness (the workspace builds offline, without
 //! criterion): each benchmark reports min/mean over a fixed sample count.
 
-use leva::{EmbeddingMethod, Featurization, Leva, LevaConfig};
+use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_datasets::{financial, genes};
 use leva_embedding::{
     generate_walks, proximity_matrix, train_sgns, MfConfig, SgnsConfig, WalkConfig,
@@ -134,10 +134,11 @@ fn bench_deployment() {
         "deploy/featurizer_cache_bytes",
         featurizer.estimated_bytes(),
     );
-    let n_rows = model.featurize_base(Featurization::RowOnly).rows();
+    let n_rows = model.base_row_count();
     let rows: Vec<usize> = (0..n_rows).collect();
+    let all_rows = FeaturizeRequest::base_all(Featurization::RowPlusValue);
     bench("deploy/featurize_base_row_plus_value", || {
-        model.featurize_base(Featurization::RowPlusValue)
+        model.featurize(&all_rows).expect("featurize")
     });
     bench("deploy/featurize_base_walk_reference", || {
         model.featurize_base_rows_walk(&rows, Featurization::RowPlusValue)
@@ -147,7 +148,7 @@ fn bench_deployment() {
     let reps = 5usize;
     let start = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(model.featurize_base(Featurization::RowPlusValue));
+        std::hint::black_box(model.featurize(&all_rows).expect("featurize"));
     }
     let per_row = start.elapsed().as_secs_f64() / (reps * n_rows.max(1)) as f64;
     println!(

@@ -23,7 +23,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use leva::{AppendReport, Featurization, Leva, LevaConfig};
+use leva::{AppendReport, Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_baselines::target_vector;
 use leva_bench::split_indices;
 use leva_datasets::{by_name, TaskKind};
@@ -196,7 +196,8 @@ fn run_case(name: &str, scale: f64, seed: u64) -> CaseResult {
     let mut retro = fit_on(&db0);
     // Warm the featurizer so the append patches slots instead of
     // invalidating — the production serving posture.
-    let _ = retro.featurize_base(Featurization::RowPlusValue);
+    let all_rows = FeaturizeRequest::base_all(Featurization::RowPlusValue);
+    retro.featurize(&all_rows).expect("featurize");
 
     // The held-out tail, target column stripped (the pipeline never
     // textifies the target, so appended rows carry one fewer cell).
@@ -241,14 +242,14 @@ fn run_case(name: &str, scale: f64, seed: u64) -> CaseResult {
 
     // Full-table featurization from the patched cache.
     let start = Instant::now();
-    let x_retro = retro.featurize_base(Featurization::RowPlusValue);
+    let x_retro = retro.featurize(&all_rows).expect("featurize");
     let patched_rows_per_s = x_retro.rows() as f64 / start.elapsed().as_secs_f64().max(1e-9);
     assert_eq!(x_retro.rows(), n, "patched model must cover appended rows");
     assert!(
         x_retro.row(n - 1).iter().all(|v| v.is_finite()),
         "appended rows must featurize finite"
     );
-    let x_refit = refit.featurize_base(Featurization::RowPlusValue);
+    let x_refit = refit.featurize(&all_rows).expect("featurize");
 
     // Downstream quality on one shared split: the retrofit features stand
     // in for the refit features, so train/test the same model family on

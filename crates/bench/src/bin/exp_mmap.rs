@@ -31,7 +31,8 @@ use leva::{
     Featurization, FeaturizeRequest, Leva, LevaConfig, LevaModel, Precision, QuantizedStore,
 };
 use leva_datasets::by_name;
-use leva_embedding::{json, EmbeddingStore};
+use leva_embedding::EmbeddingStore;
+use leva_serve::json;
 
 /// Store dimensionalities the sweep rebuilds the model at; the largest
 /// makes `STOR` dwarf every other chunk.

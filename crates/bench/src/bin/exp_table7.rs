@@ -4,7 +4,7 @@
 //!
 //! Usage: `exp_table7 [--scale S]`
 
-use leva::{EmbeddingMethod, Featurization, Leva, LevaConfig};
+use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_baselines::target_vector;
 use leva_bench::protocol::{
     eval_model, leva_config, split_indices, EvalOptions, ModelKind, Prepared,
@@ -76,8 +76,13 @@ fn main() {
             // model via a shallow rebuild of the stored vectors.
             let projected = model.store.pca_project(reduced);
             let mut pmodel = model.with_replacement_store(projected);
-            let x_train = pmodel.featurize_base(Featurization::RowOnly);
-            let x_test = pmodel.featurize_external(&test_tbl, Featurization::RowOnly);
+            let feat = Featurization::RowOnly;
+            let x_train = pmodel
+                .featurize(&FeaturizeRequest::base_all(feat))
+                .expect("featurize");
+            let x_test = pmodel
+                .featurize(&FeaturizeRequest::external(test_tbl.clone(), feat))
+                .expect("featurize");
             let prep = Prepared {
                 x_train,
                 y_train: y_train.clone(),

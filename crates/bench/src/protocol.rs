@@ -7,7 +7,7 @@
 //! contains *only training rows* (auxiliary tables stay complete, as in the
 //! paper's setup), and test rows flow through the frozen encoders.
 
-use leva::{EmbeddingMethod, Featurization, Leva, LevaConfig};
+use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_baselines::{
     assemble_base, assemble_disc, assemble_full, assemble_joined, discover_joins, target_vector,
     Composition, GraphBaseline, TableFeaturizer, TextEmbedding,
@@ -335,9 +335,17 @@ pub fn prepare(ds: &LabeledDataset, approach: Approach, opts: &EvalOptions) -> P
                 .target(target)
                 .fit(fit_db)
                 .expect("leva fit");
+            let feat = opts.featurization;
             (
-                model.featurize_base(opts.featurization),
-                model.featurize_external(&test_base_no_target, opts.featurization),
+                model
+                    .featurize(&FeaturizeRequest::base_all(feat))
+                    .expect("leva featurize"),
+                model
+                    .featurize(&FeaturizeRequest::external(
+                        test_base_no_target.clone(),
+                        feat,
+                    ))
+                    .expect("leva featurize"),
             )
         }
         Approach::Word2Vec | Approach::DeepEr => {

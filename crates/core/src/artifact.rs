@@ -2,46 +2,40 @@
 //! binary container for the *whole* fitted [`LevaModel`], so the expensive
 //! embedding construction is paid once and serving loads the result.
 //!
-//! Container layout (little-endian throughout):
+//! Container layout (little-endian throughout; format version 3 is the only
+//! one written or read):
 //!
 //! ```text
 //! magic "LEVA" | u32 version | u32 chunk_count
-//! v1/v2 chunk: [u8; 4] tag | u64 payload_len | u32 crc32 | payload
-//! v3 chunk:    [u8; 4] tag | u64 payload_len | u32 crc32 | u32 pad_len
-//!              | pad_len zero bytes | payload
+//! chunk: [u8; 4] tag | u64 payload_len | u32 crc32 | u32 pad_len
+//!        | pad_len zero bytes | payload
 //! ```
 //!
-//! At v3 `pad_len` is exactly the padding that brings the payload's
-//! *absolute file offset* to a multiple of 8, so the `STOR` dense matrix
-//! and the `GRPH` CSR arrays are naturally aligned when the artifact is
-//! memory-mapped ([`LevaModel::load_mmap`]) — decoders reject any other
-//! pad length or non-zero pad byte. Chunks, in writing order (decoding
-//! accepts any order but requires each exactly once):
+//! `pad_len` is exactly the padding that brings the payload's *absolute
+//! file offset* to a multiple of 8, so the `STOR` dense matrix and the
+//! `GRPH` CSR arrays are naturally aligned when the artifact is
+//! memory-mapped ([`LevaModel::load_mmap`]) — decoders reject any other pad
+//! length or non-zero pad byte. Chunks, in writing order (decoding accepts
+//! any order but requires each exactly once):
 //!
 //! | tag    | payload                                                    |
 //! |--------|------------------------------------------------------------|
 //! | `SYMB` | interner symbol table (token text in dense-id order)       |
 //! | `CONF` | the full [`LevaConfig`]                                    |
 //! | `TOKD` | tokenized database: attributes, encoders, row streams      |
-//! | `GRPH` | graph adjacency + weights, row offsets (aligned CSR at v3) |
-//! | `STOR` | dense embedding store (f64; aligned dense matrix at v3)    |
-//! | `DISC` | discovered relationships + injection counters (v2+)        |
+//! | `GRPH` | graph: aligned CSR adjacency + weights, row offsets        |
+//! | `STOR` | embedding store: aligned dense f64 matrix                  |
+//! | `DISC` | discovered relationships + injection counters              |
 //! | `META` | base table, method, memory estimate, timings, ingest audit |
-//! | `DELT` | one appended-rows delta record (v3+, repeatable, ordered)  |
+//! | `DELT` | one appended-rows delta record (repeatable, ordered)       |
 //!
-//! Version history: v1 had no `DISC` chunk and no discovery fields in
-//! `CONF`; v1 artifacts still load, with an empty discovery set and the
-//! default (disabled) discovery configuration. v2 artifacts require `DISC`.
-//! v3 adds the aligned chunk framing, the aligned `STOR`/`GRPH` payload
-//! layouts, and the `CONF` precision field; v1/v2 artifacts keep decoding
-//! through the original heap codecs. v3 also admits zero or more trailing
-//! `DELT` chunks (DESIGN.md §6.16): each is one [`DeltaRecord`] of rows
-//! appended after the base model was fitted. Saving a model with pending
-//! deltas re-emits the captured *base* snapshot unchanged and appends one
-//! `DELT` frame per record, so versioned artifacts form a chain; loading
-//! decodes the base, then replays every delta in writing order through the
-//! same append path (`LevaModel::append_rows`). A v3 artifact with no
-//! deltas is byte-identical to one written before this chunk existed.
+//! An artifact carries zero or more trailing `DELT` chunks (DESIGN.md
+//! §6.16): each is one [`DeltaRecord`] of rows appended after the base
+//! model was fitted. Saving a model with pending deltas re-emits the
+//! captured *base* snapshot unchanged and appends one `DELT` frame per
+//! record, so versioned artifacts form a chain; loading decodes the base,
+//! then replays every delta in writing order through the same append path
+//! (`LevaModel::append_rows`).
 //!
 //! Decoding is strictly bounded: every declared length is validated against
 //! the remaining buffer *before* any allocation, all length arithmetic is
@@ -49,9 +43,10 @@
 //! can never panic the process or allocate beyond the input size. Payload
 //! corruption that still parses is caught by the per-chunk CRC-32.
 //! [`LevaModel::from_bytes`] verifies every CRC eagerly;
-//! [`LevaModel::load_mmap`] defers the (large) `STOR` CRC to first
-//! featurization so load time is O(1) in the embedding size (DESIGN.md
-//! §6.14).
+//! [`LevaModel::load_mmap`] defers the (large) `STOR` and `GRPH` CRCs to
+//! [`LevaModel::verify_deferred`], which the first featurization runs, so
+//! load time is independent of the embedding and adjacency sizes (DESIGN.md
+//! §6.14, §6.15).
 
 use crate::config::{EmbeddingMethod, Featurization, LevaConfig};
 use crate::delta::DeltaRecord;
@@ -72,11 +67,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const MAGIC: &[u8; 4] = b"LEVA";
+/// The one artifact format version: aligned chunk framing and mmap-able
+/// payloads.
 const ARTIFACT_VERSION: u32 = 3;
-/// Oldest artifact version [`LevaModel::from_bytes`] still accepts.
-const MIN_ARTIFACT_VERSION: u32 = 1;
-/// First version with aligned chunk framing and mmap-able payloads.
-const ALIGNED_VERSION: u32 = 3;
 
 const TAG_SYMB: [u8; 4] = *b"SYMB";
 const TAG_CONF: [u8; 4] = *b"CONF";
@@ -108,8 +101,8 @@ pub enum ArtifactError {
         /// Tag of the offending chunk.
         chunk: String,
     },
-    /// A v3 chunk's payload is not 8-byte aligned: the declared pad length
-    /// is not the canonical alignment padding, or a pad byte is non-zero.
+    /// A chunk's payload is not 8-byte aligned: the declared pad length is
+    /// not the canonical alignment padding, or a pad byte is non-zero.
     Misaligned {
         /// Tag of the misaligned chunk.
         chunk: String,
@@ -202,16 +195,8 @@ impl LevaModel {
     /// `Vec`), so the buffered and streaming paths are byte-identical by
     /// construction.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with_version(ARTIFACT_VERSION)
-    }
-
-    /// Serializes at an explicit format version. Version 1 omits the `DISC`
-    /// chunk and the discovery fields of `CONF`; versions below 3 use the
-    /// unaligned chunk framing and heap payload layouts — kept
-    /// (crate-private) so tests can fabricate genuine legacy artifacts.
-    pub(crate) fn to_bytes_with_version(&self, version: u32) -> Vec<u8> {
         let mut out = Vec::new();
-        self.write_artifact(version, &mut out)
+        self.save_to(&mut out)
             .expect("writing to a Vec cannot fail");
         out
     }
@@ -220,66 +205,39 @@ impl LevaModel {
     /// chunk payload is encoded into its own buffer, framed, written, and
     /// dropped before the next is built, so peak memory is the artifact
     /// header plus the *largest single chunk* rather than the whole
-    /// artifact — [`LevaModel::save`] used to double-buffer the full byte
-    /// image on top of the model itself (2× peak RSS).
-    pub fn save_to(&self, out: impl Write) -> Result<(), ArtifactError> {
-        Ok(self.write_artifact(ARTIFACT_VERSION, out)?)
-    }
-
-    fn write_artifact(&self, version: u32, mut out: impl Write) -> std::io::Result<()> {
-        // A model with pending deltas saves as a *chain*: the base snapshot
-        // captured at the first append, byte-for-byte, with the header chunk
-        // count patched up and one CRC'd `DELT` frame appended per record.
-        // Legacy versions have no DELT framing, and a model whose base
-        // snapshot was invalidated (replacement store) serializes its current
-        // state directly — both fall through to the flat path below, which
-        // stays byte-identical to the pre-delta format.
-        if version >= ALIGNED_VERSION && !self.deltas.is_empty() {
+    /// artifact.
+    ///
+    /// A model with pending deltas saves as a *chain*: the base snapshot
+    /// captured at the first append, byte-for-byte, with the header chunk
+    /// count patched up and one `DELT` frame appended per record. A model
+    /// whose base snapshot was invalidated (replacement store) serializes
+    /// its current state directly.
+    pub fn save_to(&self, mut out: impl Write) -> Result<(), ArtifactError> {
+        if !self.deltas.is_empty() {
             if let Some(base) = &self.base_artifact {
-                return write_delta_chain(base, &self.deltas, out);
+                return Ok(write_delta_chain(base, &self.deltas, out)?);
             }
         }
-        let mut tags: Vec<[u8; 4]> = vec![TAG_SYMB, TAG_CONF, TAG_TOKD, TAG_GRPH, TAG_STOR];
-        if version >= 2 {
-            tags.push(TAG_DISC);
-        }
-        tags.push(TAG_META);
-
+        let tags = [
+            TAG_SYMB, TAG_CONF, TAG_TOKD, TAG_GRPH, TAG_STOR, TAG_DISC, TAG_META,
+        ];
         out.write_all(MAGIC)?;
-        out.write_all(&version.to_le_bytes())?;
+        out.write_all(&ARTIFACT_VERSION.to_le_bytes())?;
         out.write_all(&(tags.len() as u32).to_le_bytes())?;
         let mut offset = 12u64; // bytes written so far = next absolute offset
-
-        let aligned = version >= ALIGNED_VERSION;
         for tag in tags {
             let mut w = ByteWriter::new();
             match tag {
                 TAG_SYMB => self.graph.symbols().encode_into(&mut w),
-                TAG_CONF => encode_config(&self.config, &mut w, version),
+                TAG_CONF => encode_config(&self.config, &mut w),
                 TAG_TOKD => self.tokenized.encode_into(&mut w),
-                TAG_GRPH if aligned => self.graph.encode_aligned_into(&mut w),
-                TAG_GRPH => self.graph.encode_into(&mut w),
-                TAG_STOR if aligned => self.store.encode_aligned_into(&mut w),
-                TAG_STOR => self.store.encode_into(&mut w),
+                TAG_GRPH => self.graph.encode_aligned_into(&mut w),
+                TAG_STOR => self.store.encode_aligned_into(&mut w),
                 TAG_DISC => encode_disc(self, &mut w),
                 TAG_META => encode_meta(self, &mut w),
                 _ => unreachable!("unknown chunk tag"),
             }
-            let payload = w.into_bytes();
-            out.write_all(&tag)?;
-            out.write_all(&(payload.len() as u64).to_le_bytes())?;
-            out.write_all(&crc32(&payload).to_le_bytes())?;
-            offset += 16;
-            if aligned {
-                // One more u32 (pad_len) precedes the pad; align the
-                // *payload's* absolute offset to 8.
-                let pad = (8 - ((offset + 4) % 8)) % 8;
-                out.write_all(&(pad as u32).to_le_bytes())?;
-                out.write_all(&[0u8; 8][..pad as usize])?;
-                offset += 4 + pad;
-            }
-            out.write_all(&payload)?;
-            offset += payload.len() as u64;
+            offset = write_frame(&mut out, tag, &w.into_bytes(), offset)?;
         }
         Ok(())
     }
@@ -293,23 +251,20 @@ impl LevaModel {
     }
 
     /// Assembles a model from a validated chunk table. When `mapped` is
-    /// given (the [`LevaModel::load_mmap`] path, v3 only) the `STOR` and
-    /// `GRPH` chunks are served zero-copy out of the mapping with their
-    /// CRCs deferred to first featurization; otherwise they are
-    /// heap-decoded.
+    /// given (the [`LevaModel::load_mmap`] path) the `STOR` and `GRPH`
+    /// chunks are served zero-copy out of the mapping with their CRCs
+    /// deferred to [`LevaModel::verify_deferred`]; otherwise they are
+    /// heap-decoded. Both run the same per-chunk layout validation.
     fn decode_from_chunks(
         chunks: &Chunks<'_>,
         mapped: Option<&Arc<MmapFile>>,
     ) -> Result<LevaModel, ArtifactError> {
-        let version = chunks.version;
-        let aligned = version >= ALIGNED_VERSION;
-
         let mut r = ByteReader::new(chunks.symb.payload);
         let symbols = Arc::new(TokenInterner::decode(&mut r).map_err(in_chunk("SYMB"))?);
         finish_chunk(&r, "SYMB")?;
 
         let mut r = ByteReader::new(chunks.conf.payload);
-        let config = decode_config(&mut r, version).map_err(in_chunk("CONF"))?;
+        let config = decode_config(&mut r).map_err(in_chunk("CONF"))?;
         finish_chunk(&r, "CONF")?;
 
         let mut r = ByteReader::new(chunks.tokd.payload);
@@ -317,61 +272,33 @@ impl LevaModel {
             TokenizedDatabase::decode(&mut r, Arc::clone(&symbols)).map_err(in_chunk("TOKD"))?;
         finish_chunk(&r, "TOKD")?;
 
+        let (grph, stor) = (&chunks.grph, &chunks.stor);
         let graph = match mapped {
             Some(map) => LevaGraph::from_mapped(
                 Arc::clone(&symbols),
                 Arc::clone(map),
-                chunks.grph.offset,
-                chunks.grph.payload.len(),
-                chunks.grph.crc,
-            )
-            .map_err(in_chunk("GRPH"))?,
-            None => {
-                let mut r = ByteReader::new(chunks.grph.payload);
-                let graph = if aligned {
-                    LevaGraph::decode_aligned(&mut r, Arc::clone(&symbols))
-                } else {
-                    LevaGraph::decode(&mut r, Arc::clone(&symbols))
-                }
-                .map_err(in_chunk("GRPH"))?;
-                finish_chunk(&r, "GRPH")?;
-                graph
-            }
-        };
-
+                grph.offset,
+                grph.payload.len(),
+                grph.crc,
+            ),
+            None => LevaGraph::decode_aligned(grph.payload, Arc::clone(&symbols)),
+        }
+        .map_err(in_chunk("GRPH"))?;
         let store = match mapped {
             Some(map) => EmbeddingStore::from_mapped(
                 Arc::clone(&symbols),
                 Arc::clone(map),
-                chunks.stor.offset,
-                chunks.stor.payload.len(),
-                chunks.stor.crc,
-            )
-            .map_err(in_chunk("STOR"))?,
-            None => {
-                let mut r = ByteReader::new(chunks.stor.payload);
-                let store = if aligned {
-                    EmbeddingStore::decode_aligned_with_symbols(&mut r, Arc::clone(&symbols))
-                } else {
-                    EmbeddingStore::decode_with_symbols(&mut r, Arc::clone(&symbols))
-                }
-                .map_err(in_chunk("STOR"))?;
-                finish_chunk(&r, "STOR")?;
-                store
-            }
-        };
+                stor.offset,
+                stor.payload.len(),
+                stor.crc,
+            ),
+            None => EmbeddingStore::decode_aligned(stor.payload, Arc::clone(&symbols)),
+        }
+        .map_err(in_chunk("STOR"))?;
 
-        // DISC is required at v2+ and absent at v1 (legacy artifacts load
-        // with an empty discovery set).
-        let (discovered, discovery_injection) = match &chunks.disc {
-            Some(disc) => {
-                let mut r = ByteReader::new(disc.payload);
-                let decoded = decode_disc(&mut r).map_err(in_chunk("DISC"))?;
-                finish_chunk(&r, "DISC")?;
-                decoded
-            }
-            None => (Vec::new(), RelationshipInjection::default()),
-        };
+        let mut r = ByteReader::new(chunks.disc.payload);
+        let (discovered, discovery_injection) = decode_disc(&mut r).map_err(in_chunk("DISC"))?;
+        finish_chunk(&r, "DISC")?;
 
         let mut r = ByteReader::new(chunks.meta.payload);
         let meta = decode_meta(&mut r).map_err(in_chunk("META"))?;
@@ -430,37 +357,74 @@ impl LevaModel {
     /// adjacency served zero-copy from a private file mapping — O(1) load
     /// time in the `STOR` and `GRPH` sizes.
     ///
-    /// v3 artifacts map the file once; the small chunks are decoded and
-    /// CRC-verified eagerly, while the dense `STOR` matrix gets O(rows)
-    /// geometry validation and the `GRPH` CSR arrays get O(n + m) structural
-    /// validation (bounds, alignment, monotone offsets, in-range targets)
-    /// here, with their CRCs — and the adjacency symmetry invariant —
-    /// verified lazily on the first featurization (`LevaModel::featurize`
-    /// surfaces a flipped bit as [`ArtifactError::ChecksumMismatch`]; until
-    /// then reads are memory-safe but unverified). v1/v2 artifacts fall
-    /// back to the heap decoding of [`LevaModel::from_bytes`]
-    /// byte-for-byte.
+    /// The file is mapped once; the small chunks are decoded and
+    /// CRC-verified eagerly, while `STOR` and `GRPH` get their full layout
+    /// validation (bounds, alignment, ascending ids, monotone offsets,
+    /// in-range targets, exact length) here, with their CRCs — and the
+    /// adjacency symmetry invariant — settled by
+    /// [`LevaModel::verify_deferred`] on the first featurization
+    /// (`LevaModel::featurize` surfaces a flipped bit as
+    /// [`ArtifactError::ChecksumMismatch`]; until then reads are
+    /// memory-safe but unverified). Where the file cannot be mapped the
+    /// bytes are read and decoded exactly as [`LevaModel::from_bytes`]
+    /// would.
     pub fn load_mmap(path: impl AsRef<Path>) -> Result<LevaModel, ArtifactError> {
         let map = Arc::new(MmapFile::open(path.as_ref())?);
-        let bytes: &[u8] = &map;
-        let chunks = walk_chunks(bytes, false)?;
-        if chunks.version < ALIGNED_VERSION || !map.is_mapped() {
-            // Legacy layouts have no aligned payloads to serve in place
-            // (and a heap fallback read has nothing to map); re-walk with
-            // eager CRCs so STOR corruption is caught now, as `from_bytes`
-            // would.
-            let chunks = walk_chunks(bytes, true)?;
-            return Self::decode_from_chunks(&chunks, None);
+        if !map.is_mapped() {
+            return Self::from_bytes(&map);
         }
+        let chunks = walk_chunks(&map, false)?;
         Self::decode_from_chunks(&chunks, Some(&map))
     }
+
+    /// Settles the deferred checks of a mapped model: the `STOR` and
+    /// `GRPH` payload CRCs plus the adjacency symmetry audit. Each chunk is
+    /// hashed at most once per process and the verdict is cached, so later
+    /// calls are two atomic loads; heap-decoded models were verified at
+    /// load and always pass. [`LevaModel::featurize`] calls this before
+    /// every request, and the serving daemon calls it before publishing a
+    /// hot-swapped model.
+    pub fn verify_deferred(&self) -> Result<(), ArtifactError> {
+        if !self.store.verify_mapped() {
+            return Err(ArtifactError::ChecksumMismatch {
+                chunk: "STOR".to_owned(),
+            });
+        }
+        if !self.graph.verify_mapped() {
+            return Err(ArtifactError::ChecksumMismatch {
+                chunk: "GRPH".to_owned(),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Writes one chunk frame (`tag | len | crc | pad_len | pad | payload`)
+/// whose header starts at absolute offset `offset`, padding so the payload
+/// lands 8-aligned. Returns the absolute offset just past the frame.
+fn write_frame(
+    out: &mut impl Write,
+    tag: [u8; 4],
+    payload: &[u8],
+    offset: u64,
+) -> std::io::Result<u64> {
+    out.write_all(&tag)?;
+    out.write_all(&(payload.len() as u64).to_le_bytes())?;
+    out.write_all(&crc32(payload).to_le_bytes())?;
+    // The 20-byte frame header (tag, len, crc, pad_len) precedes the pad;
+    // align the *payload's* absolute offset to 8.
+    let pad = (8 - ((offset + 20) % 8)) % 8;
+    out.write_all(&(pad as u32).to_le_bytes())?;
+    out.write_all(&[0u8; 8][..pad as usize])?;
+    out.write_all(payload)?;
+    Ok(offset + 20 + pad + payload.len() as u64)
 }
 
 /// Emits a delta chain: the captured base artifact with its header chunk
 /// count raised by the number of deltas, then one `DELT` frame per record
-/// in append order, each using the v3 aligned framing continued from the
-/// base's final byte offset. Reloading the chain and saving it again
-/// reproduces these bytes exactly (the base snapshot is canonical).
+/// in append order, continuing the aligned framing from the base's final
+/// byte offset. Reloading the chain and saving it again reproduces these
+/// bytes exactly (the base snapshot is canonical).
 fn write_delta_chain(
     base: &[u8],
     deltas: &[DeltaRecord],
@@ -476,17 +440,7 @@ fn write_delta_chain(
     for record in deltas {
         let mut w = ByteWriter::new();
         record.encode_into(&mut w);
-        let payload = w.into_bytes();
-        out.write_all(&TAG_DELT)?;
-        out.write_all(&(payload.len() as u64).to_le_bytes())?;
-        out.write_all(&crc32(&payload).to_le_bytes())?;
-        offset += 16;
-        let pad = (8 - ((offset + 4) % 8)) % 8;
-        out.write_all(&(pad as u32).to_le_bytes())?;
-        out.write_all(&[0u8; 8][..pad as usize])?;
-        offset += 4 + pad;
-        out.write_all(&payload)?;
-        offset += payload.len() as u64;
+        offset = write_frame(&mut out, TAG_DELT, &w.into_bytes(), offset)?;
     }
     Ok(())
 }
@@ -505,16 +459,7 @@ fn replay_deltas(model: &mut LevaModel, delt: &[RawChunk<'_>]) -> Result<(), Art
     for raw in delt {
         records.push(DeltaRecord::decode(raw.payload).map_err(in_chunk("DELT"))?);
     }
-    if !model.graph.ensure_heap() {
-        return Err(ArtifactError::ChecksumMismatch {
-            chunk: "GRPH".to_owned(),
-        });
-    }
-    if !model.store.materialize() {
-        return Err(ArtifactError::ChecksumMismatch {
-            chunk: "STOR".to_owned(),
-        });
-    }
+    model.settle_on_heap()?;
     model.base_artifact = Some(model.to_bytes());
     for record in &records {
         model.apply_delta(record).map_err(|e| match e {
@@ -546,20 +491,19 @@ struct RawChunk<'a> {
 /// The parsed chunk table of an artifact (header validated, every chunk
 /// located, required chunks present exactly once).
 struct Chunks<'a> {
-    version: u32,
     symb: RawChunk<'a>,
     conf: RawChunk<'a>,
     tokd: RawChunk<'a>,
     grph: RawChunk<'a>,
     stor: RawChunk<'a>,
-    disc: Option<RawChunk<'a>>,
+    disc: RawChunk<'a>,
     meta: RawChunk<'a>,
-    /// Appended-delta chunks in artifact order (v3+, possibly empty).
+    /// Appended-delta chunks in artifact order (possibly empty).
     delt: Vec<RawChunk<'a>>,
 }
 
 /// Walks the container: validates magic/version, frames every chunk
-/// (including the v3 alignment padding, which must be canonical and
+/// (including the alignment padding, which must be canonical and
 /// zero-filled), and CRC-checks payloads. With `eager_crc = false` the
 /// (large) `STOR` and `GRPH` payloads' CRCs are *not* hashed here — the
 /// caller defers them to first use ([`LevaModel::load_mmap`]).
@@ -570,7 +514,7 @@ fn walk_chunks(bytes: &[u8], eager_crc: bool) -> Result<Chunks<'_>, ArtifactErro
         return Err(ArtifactError::BadMagic);
     }
     let version = r.take_u32().map_err(|_| ArtifactError::Truncated)?;
-    if !(MIN_ARTIFACT_VERSION..=ARTIFACT_VERSION).contains(&version) {
+    if version != ARTIFACT_VERSION {
         return Err(ArtifactError::UnsupportedVersion(version));
     }
     let chunk_count = r.take_u32().map_err(|_| ArtifactError::Truncated)?;
@@ -593,19 +537,17 @@ fn walk_chunks(bytes: &[u8], eager_crc: bool) -> Result<Chunks<'_>, ArtifactErro
         let len = r.take_u64().map_err(|_| ArtifactError::Truncated)?;
         let len = usize::try_from(len).map_err(|_| ArtifactError::Truncated)?;
         let crc = r.take_u32().map_err(|_| ArtifactError::Truncated)?;
-        if version >= ALIGNED_VERSION {
-            let pad = r.take_u32().map_err(|_| ArtifactError::Truncated)? as usize;
-            // The pad must be exactly what 8-aligns the payload's absolute
-            // offset, and zero-filled — anything else is corruption (the
-            // header fields outside the payload are not CRC-covered).
-            let expected = (8 - (r.consumed() % 8)) % 8;
-            if pad != expected {
-                return Err(ArtifactError::Misaligned { chunk: tag_name() });
-            }
-            let pad_bytes = r.take_raw(pad).map_err(|_| ArtifactError::Truncated)?;
-            if pad_bytes.iter().any(|&b| b != 0) {
-                return Err(ArtifactError::Misaligned { chunk: tag_name() });
-            }
+        let pad = r.take_u32().map_err(|_| ArtifactError::Truncated)? as usize;
+        // The pad must be exactly what 8-aligns the payload's absolute
+        // offset, and zero-filled — anything else is corruption (the
+        // header fields outside the payload are not CRC-covered).
+        let expected = (8 - (r.consumed() % 8)) % 8;
+        if pad != expected {
+            return Err(ArtifactError::Misaligned { chunk: tag_name() });
+        }
+        let pad_bytes = r.take_raw(pad).map_err(|_| ArtifactError::Truncated)?;
+        if pad_bytes.iter().any(|&b| b != 0) {
+            return Err(ArtifactError::Misaligned { chunk: tag_name() });
         }
         let offset = r.consumed();
         // Declared length validated against the remaining buffer before
@@ -614,58 +556,42 @@ fn walk_chunks(bytes: &[u8], eager_crc: bool) -> Result<Chunks<'_>, ArtifactErro
         if (eager_crc || (tag != TAG_STOR && tag != TAG_GRPH)) && crc32(payload) != crc {
             return Err(ArtifactError::ChecksumMismatch { chunk: tag_name() });
         }
-        // DELT is the one repeatable tag (a chain carries one per append),
-        // and only v3+ writers produce it; in a legacy artifact it is as
-        // malformed as an unknown tag. Its CRC was verified above
-        // unconditionally (it is never deferred: replay mutates the model).
-        if tag == TAG_DELT {
-            if version < ALIGNED_VERSION {
-                return Err(ArtifactError::BadChunk { chunk: tag_name() });
-            }
-            delt.push(RawChunk {
-                payload,
-                offset,
-                crc,
-            });
-            continue;
-        }
+        let chunk = RawChunk {
+            payload,
+            offset,
+            crc,
+        };
+        // DELT is the one repeatable tag (a chain carries one per append).
+        // Its CRC was verified above unconditionally (it is never deferred:
+        // replay mutates the model).
         let slot = match tag {
+            TAG_DELT => {
+                delt.push(chunk);
+                continue;
+            }
             TAG_SYMB => &mut symb,
             TAG_CONF => &mut conf,
             TAG_TOKD => &mut tokd,
             TAG_GRPH => &mut grph,
             TAG_STOR => &mut stor,
-            // A DISC chunk in a v1 artifact is as malformed as an
-            // unknown tag: v1 writers never produced one.
-            TAG_DISC if version >= 2 => &mut disc,
+            TAG_DISC => &mut disc,
             TAG_META => &mut meta,
             _ => return Err(ArtifactError::BadChunk { chunk: tag_name() }),
         };
-        if slot
-            .replace(RawChunk {
-                payload,
-                offset,
-                crc,
-            })
-            .is_some()
-        {
+        if slot.replace(chunk).is_some() {
             return Err(ArtifactError::BadChunk { chunk: tag_name() });
         }
     }
     if !r.is_exhausted() {
         return Err(ArtifactError::TrailingData);
     }
-    if version >= 2 && disc.is_none() {
-        return Err(ArtifactError::MissingChunk("DISC"));
-    }
     Ok(Chunks {
-        version,
         symb: symb.ok_or(ArtifactError::MissingChunk("SYMB"))?,
         conf: conf.ok_or(ArtifactError::MissingChunk("CONF"))?,
         tokd: tokd.ok_or(ArtifactError::MissingChunk("TOKD"))?,
         grph: grph.ok_or(ArtifactError::MissingChunk("GRPH"))?,
         stor: stor.ok_or(ArtifactError::MissingChunk("STOR"))?,
-        disc,
+        disc: disc.ok_or(ArtifactError::MissingChunk("DISC"))?,
         meta: meta.ok_or(ArtifactError::MissingChunk("META"))?,
         delt,
     })
@@ -736,7 +662,7 @@ fn check_consistency(
 
 // --- CONF chunk ---------------------------------------------------------
 
-fn encode_config(c: &LevaConfig, w: &mut ByteWriter, version: u32) {
+fn encode_config(c: &LevaConfig, w: &mut ByteWriter) {
     w.put_u64(c.dim as u64);
     w.put_u64(c.textify.bin_count as u64);
     w.put_u8(match c.textify.histogram {
@@ -795,22 +721,16 @@ fn encode_config(c: &LevaConfig, w: &mut ByteWriter, version: u32) {
     });
     w.put_u64(c.seed);
     w.put_u64(c.threads as u64);
-    // Discovery fields exist from format version 2.
-    if version >= 2 {
-        w.put_u8(u8::from(c.discovery.enabled));
-        w.put_f64(c.discovery.threshold);
-        w.put_u64(c.discovery.max_candidates_per_column as u64);
-        w.put_u64(c.discovery.min_distinct as u64);
-        w.put_u64(c.discovery.signature_size as u64);
-        w.put_u64(c.discovery.threads as u64);
-    }
-    // The storage-precision tag exists from format version 3.
-    if version >= 3 {
-        w.put_u8(c.precision.as_u8());
-    }
+    w.put_u8(u8::from(c.discovery.enabled));
+    w.put_f64(c.discovery.threshold);
+    w.put_u64(c.discovery.max_candidates_per_column as u64);
+    w.put_u64(c.discovery.min_distinct as u64);
+    w.put_u64(c.discovery.signature_size as u64);
+    w.put_u64(c.discovery.threads as u64);
+    w.put_u8(c.precision.as_u8());
 }
 
-fn decode_config(r: &mut ByteReader<'_>, version: u32) -> Result<LevaConfig, DecodeError> {
+fn decode_config(r: &mut ByteReader<'_>) -> Result<LevaConfig, DecodeError> {
     // Struct-literal fields evaluate in source order, which keeps these
     // reads aligned with `encode_config`'s writes.
     let mut cfg = LevaConfig {
@@ -885,33 +805,22 @@ fn decode_config(r: &mut ByteReader<'_>, version: u32) -> Result<LevaConfig, Dec
         },
         seed: r.take_u64()?,
         threads: r.take_usize()?,
-        // Written after `threads` (literal order = read order); absent in
-        // v1 artifacts, which predate the discovery stage.
-        discovery: if version >= 2 {
-            DiscoveryConfig {
-                enabled: r.take_u8()? != 0,
-                threshold: {
-                    let t = r.take_f64()?;
-                    if !t.is_finite() || !(0.0..=1.0).contains(&t) {
-                        return Err(DecodeError::Invalid("discovery threshold out of range"));
-                    }
-                    t
-                },
-                max_candidates_per_column: r.take_usize()?,
-                min_distinct: r.take_usize()?,
-                signature_size: r.take_usize()?,
-                threads: r.take_usize()?,
-            }
-        } else {
-            DiscoveryConfig::default()
+        discovery: DiscoveryConfig {
+            enabled: r.take_u8()? != 0,
+            threshold: {
+                let t = r.take_f64()?;
+                if !t.is_finite() || !(0.0..=1.0).contains(&t) {
+                    return Err(DecodeError::Invalid("discovery threshold out of range"));
+                }
+                t
+            },
+            max_candidates_per_column: r.take_usize()?,
+            min_distinct: r.take_usize()?,
+            signature_size: r.take_usize()?,
+            threads: r.take_usize()?,
         },
-        // Written after the discovery fields; absent before v3 (all legacy
-        // artifacts were built at full f64 precision).
-        precision: if version >= 3 {
-            Precision::from_u8(r.take_u8()?).ok_or(DecodeError::Invalid("unknown precision tag"))?
-        } else {
-            Precision::F64
-        },
+        precision: Precision::from_u8(r.take_u8()?)
+            .ok_or(DecodeError::Invalid("unknown precision tag"))?,
     };
     cfg.sgns.precision = cfg.precision;
     Ok(cfg)
@@ -1137,6 +1046,7 @@ fn decode_meta(r: &mut ByteReader<'_>) -> Result<Meta, DecodeError> {
 mod tests {
     use super::*;
     use crate::pipeline::Leva;
+    use crate::FeaturizeRequest;
     use leva_relational::{Database, IngestOptions, Table, Value};
 
     fn db() -> Database {
@@ -1168,28 +1078,24 @@ mod tests {
     }
 
     fn assert_bitwise_equal_features(a: &LevaModel, b: &LevaModel) {
-        for feat in [Featurization::RowOnly, Featurization::RowPlusValue] {
-            let (xa, xb) = (a.featurize_base(feat), b.featurize_base(feat));
-            assert_eq!(xa.rows(), xb.rows());
-            assert_eq!(xa.cols(), xb.cols());
-            for row in 0..xa.rows() {
-                for (x, y) in xa.row(row).iter().zip(xb.row(row)) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "featurize_base differs");
-                }
-            }
-        }
         let mut test = Table::new("test", vec!["id", "grp", "amount"]);
         test.push_row(vec!["e3".into(), "a".into(), Value::Float(7.0)])
             .unwrap();
         test.push_row(vec!["unseen".into(), "c".into(), Value::Float(1e9)])
             .unwrap();
-        let (xa, xb) = (
-            a.featurize_external(&test, Featurization::RowPlusValue),
-            b.featurize_external(&test, Featurization::RowPlusValue),
-        );
-        for row in 0..xa.rows() {
-            for (x, y) in xa.row(row).iter().zip(xb.row(row)) {
-                assert_eq!(x.to_bits(), y.to_bits(), "featurize_external differs");
+        let requests = [
+            FeaturizeRequest::base_all(Featurization::RowOnly),
+            FeaturizeRequest::base_all(Featurization::RowPlusValue),
+            FeaturizeRequest::external(test, Featurization::RowPlusValue),
+        ];
+        for request in &requests {
+            let (xa, xb) = (a.featurize(request).unwrap(), b.featurize(request).unwrap());
+            assert_eq!(xa.rows(), xb.rows());
+            assert_eq!(xa.cols(), xb.cols());
+            for row in 0..xa.rows() {
+                for (x, y) in xa.row(row).iter().zip(xb.row(row)) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{:?} differs", request.source);
+                }
             }
         }
     }
@@ -1287,11 +1193,15 @@ mod tests {
     fn version_bump_is_rejected() {
         let model = fit();
         let mut bytes = model.to_bytes();
-        bytes[4] = 99;
-        assert!(matches!(
-            LevaModel::from_bytes(&bytes).unwrap_err(),
-            ArtifactError::UnsupportedVersion(99)
-        ));
+        // Versions 1 and 2 (pre-alignment layouts) are as unsupported as
+        // a future one.
+        for version in [1u8, 2, 99] {
+            bytes[4] = version;
+            assert!(matches!(
+                LevaModel::from_bytes(&bytes).unwrap_err(),
+                ArtifactError::UnsupportedVersion(v) if v == u32::from(version)
+            ));
+        }
         assert!(matches!(
             LevaModel::from_bytes(b"NOPE").unwrap_err(),
             ArtifactError::BadMagic
@@ -1349,13 +1259,13 @@ mod tests {
         cfg.discovery.threshold = 0.85;
         cfg.discovery.min_distinct = 11;
         let mut w = ByteWriter::new();
-        encode_config(&cfg, &mut w, ARTIFACT_VERSION);
+        encode_config(&cfg, &mut w);
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        let back = decode_config(&mut r, ARTIFACT_VERSION).unwrap();
+        let back = decode_config(&mut r).unwrap();
         assert!(r.is_exhausted());
         let mut w2 = ByteWriter::new();
-        encode_config(&back, &mut w2, ARTIFACT_VERSION);
+        encode_config(&back, &mut w2);
         assert_eq!(w2.into_bytes(), bytes, "config codec not a fixed point");
         assert_eq!(back.dim, 17);
         assert_eq!(back.walks.visit_limit, Some(42));
@@ -1414,74 +1324,6 @@ mod tests {
         assert_eq!(back.discovered, model.discovered);
         assert_eq!(back.discovery_injection, model.discovery_injection);
         assert_eq!(back.to_bytes(), bytes, "save→load→save not a fixed point");
-    }
-
-    #[test]
-    fn legacy_v1_artifacts_still_load() {
-        let model = fit();
-        let v1 = model.to_bytes_with_version(1);
-        assert_eq!(v1[4], 1, "version byte");
-        let back = LevaModel::from_bytes(&v1).unwrap();
-        assert!(back.discovered.is_empty());
-        assert_eq!(back.discovery_injection, Default::default());
-        assert!(!back.config.discovery.enabled);
-        assert_bitwise_equal_features(&model, &back);
-        // Re-saving a legacy model upgrades it to the current version.
-        let upgraded = back.to_bytes();
-        assert_eq!(upgraded[4], ARTIFACT_VERSION as u8);
-        LevaModel::from_bytes(&upgraded).unwrap();
-    }
-
-    #[test]
-    fn legacy_v2_artifacts_still_load() {
-        let model = fit_with_discovery();
-        let v2 = model.to_bytes_with_version(2);
-        assert_eq!(v2[4], 2, "version byte");
-        let back = LevaModel::from_bytes(&v2).unwrap();
-        assert_eq!(back.discovered, model.discovered);
-        assert_eq!(back.discovery_injection, model.discovery_injection);
-        assert_eq!(back.config.precision, Precision::F64);
-        assert_bitwise_equal_features(&model, &back);
-        // And through the mmap entry point (heap fallback for pre-v3).
-        let dir = std::env::temp_dir().join("leva_artifact_v2_mmap");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.leva");
-        std::fs::write(&path, &v2).unwrap();
-        let mapped = LevaModel::load_mmap(&path).unwrap();
-        assert!(!mapped.store.is_mapped(), "pre-v3 loads land on the heap");
-        assert_bitwise_equal_features(&model, &mapped);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn delt_chunk_in_legacy_artifact_is_bad_chunk() {
-        // Legacy writers never produced DELT frames; a chain frame spliced
-        // into a v1/v2 container (legacy framing: tag|len|crc|payload, no
-        // pad) must be rejected as BadChunk even with a valid CRC.
-        let model = fit();
-        for version in [1u32, 2] {
-            let legacy = model.to_bytes_with_version(version);
-            let payload = {
-                let mut w = ByteWriter::new();
-                DeltaRecord {
-                    table: "t".into(),
-                    rows: Vec::new(),
-                }
-                .encode_into(&mut w);
-                w.into_bytes()
-            };
-            let mut bytes = legacy.clone();
-            let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-            bytes[8..12].copy_from_slice(&(count + 1).to_le_bytes());
-            bytes.extend_from_slice(&TAG_DELT);
-            bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            match LevaModel::from_bytes(&bytes) {
-                Err(ArtifactError::BadChunk { chunk }) => assert_eq!(chunk, "DELT"),
-                other => panic!("v{version}: expected BadChunk, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -1547,24 +1389,14 @@ mod tests {
         for p in [Precision::F32, Precision::Int8] {
             let cfg = LevaConfig::default().with_precision(p);
             let mut w = ByteWriter::new();
-            encode_config(&cfg, &mut w, ARTIFACT_VERSION);
+            encode_config(&cfg, &mut w);
             let bytes = w.into_bytes();
             let mut r = ByteReader::new(&bytes);
-            let back = decode_config(&mut r, ARTIFACT_VERSION).unwrap();
+            let back = decode_config(&mut r).unwrap();
             assert!(r.is_exhausted());
             assert_eq!(back.precision, p);
             assert_eq!(back.sgns.precision, p, "SGNS precision derives from CONF");
         }
-    }
-
-    #[test]
-    fn disc_chunk_in_v1_artifact_is_rejected() {
-        let model = fit();
-        let mut bytes = model.to_bytes();
-        // Downgrade the version header but keep the v2 chunk set: the DISC
-        // chunk (and the CONF discovery fields) make it malformed.
-        bytes[4] = 1;
-        assert!(LevaModel::from_bytes(&bytes).is_err());
     }
 
     #[test]
@@ -1613,23 +1445,17 @@ mod tests {
         ));
     }
 
-    /// Byte offsets of a chunk within an artifact (any version):
+    /// Byte offsets of a chunk within an artifact:
     /// `(crc_field_offset, payload_offset, payload_len)`.
     fn find_chunk(bytes: &[u8], tag: [u8; 4]) -> Option<(usize, usize, usize)> {
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
         let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
         let mut off = 12;
         for _ in 0..count {
             let t: [u8; 4] = bytes[off..off + 4].try_into().unwrap();
             let len = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
             let crc_off = off + 12;
-            let start = if version >= ALIGNED_VERSION {
-                let pad =
-                    u32::from_le_bytes(bytes[off + 16..off + 20].try_into().unwrap()) as usize;
-                off + 20 + pad
-            } else {
-                off + 16
-            };
+            let pad = u32::from_le_bytes(bytes[off + 16..off + 20].try_into().unwrap()) as usize;
+            let start = off + 20 + pad;
             if t == tag {
                 return Some((crc_off, start, len));
             }

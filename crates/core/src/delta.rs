@@ -293,6 +293,17 @@ impl LevaModel {
         Ok((out, report))
     }
 
+    /// Moves mapped graph and store state onto the heap so it can be
+    /// mutated. The deferred CRCs are settled first: a corrupt mapped
+    /// payload fails typed instead of being patched on top of.
+    pub(crate) fn settle_on_heap(&mut self) -> Result<(), crate::ArtifactError> {
+        self.verify_deferred()?;
+        // Both report the verdicts `verify_deferred` just cached (`true`).
+        self.graph.ensure_heap();
+        self.store.materialize();
+        Ok(())
+    }
+
     /// Applies one delta batch to the in-memory model: tokenize → graph
     /// patch → retrofit → featurizer invalidation → chain bookkeeping.
     /// `record.rows` must already be ingest-normalized. This is also the
@@ -312,23 +323,7 @@ impl LevaModel {
             ));
         };
 
-        // Mutation requires heap-backed state; settle the deferred CRCs of
-        // mapped artifacts first (a corrupt mapped payload must fail typed,
-        // not be patched on top of).
-        if !self.graph.ensure_heap() {
-            return Err(LevaError::Artifact(
-                crate::artifact::ArtifactError::ChecksumMismatch {
-                    chunk: "GRPH".to_owned(),
-                },
-            ));
-        }
-        if !self.store.materialize() {
-            return Err(LevaError::Artifact(
-                crate::artifact::ArtifactError::ChecksumMismatch {
-                    chunk: "STOR".to_owned(),
-                },
-            ));
-        }
+        self.settle_on_heap()?;
 
         // Snapshot the pre-delta artifact once: it becomes the persisted
         // `base` of the chain. (Replay sets this before applying deltas.)

@@ -19,20 +19,21 @@
 //! simply absent, as with unseen one-hot categories); numeric out-of-range
 //! values clamp into boundary bins.
 //!
-//! Serving goes through the precomputed [`Featurizer`] engine (DESIGN.md
-//! §6.11): per-value-node aggregates are cached once per model, so each
-//! row costs `O(#tokens · d)` dense adds instead of a two-hop graph walk,
-//! and batches shard rows over deterministic thread bands. The original
-//! walk survives as the `*_walk` reference implementations that the
-//! equivalence tests (and the stages bench) compare against.
+//! This module holds the kernels behind the one featurization entry point,
+//! [`LevaModel::featurize`] (`request.rs`). They go through the
+//! precomputed [`Featurizer`] engine (DESIGN.md §6.11): per-value-node
+//! aggregates are cached once per model, so each row costs `O(#tokens · d)`
+//! dense adds instead of a two-hop graph walk, and batches shard rows over
+//! deterministic thread bands. The original walk survives as the `*_walk`
+//! reference implementations that the equivalence tests (and the stages
+//! bench) compare against.
 
 use crate::config::Featurization;
 use crate::featurizer::Featurizer;
-use crate::pipeline::{LevaError, LevaModel};
+use crate::pipeline::LevaModel;
 use leva_linalg::{for_each_row_band, Matrix};
 use leva_relational::Table;
 use leva_textify::ColumnEncoder;
-use std::ops::Range;
 
 impl LevaModel {
     /// Embedding dimensionality of a single featurized row under `feat`.
@@ -162,23 +163,11 @@ impl LevaModel {
             .unwrap_or(0)
     }
 
-    /// Featurizes in-graph base-table rows (by row index) into a matrix.
-    ///
-    /// Rows are sharded over deterministic thread bands
-    /// ([`LevaConfig::threads`](crate::LevaConfig)); results are bitwise
-    /// identical at any thread count. A row index outside the base table
-    /// featurizes to a zero row — this is the lenient variant of the
-    /// unified [`LevaModel::featurize`] entry point, sharing its kernel;
-    /// use [`LevaModel::try_featurize_base_rows`] (or `featurize` itself)
-    /// to surface bad indices as typed errors instead.
-    pub fn featurize_base_rows(&self, rows: &[usize], feat: Featurization) -> Matrix {
-        self.featurize_base_rows_kernel(rows, feat)
-    }
-
-    /// The banded parallel base-row kernel behind both the unified
-    /// [`LevaModel::featurize`] entry point and the lenient
-    /// [`LevaModel::featurize_base_rows`] wrapper. Out-of-range indices
-    /// produce zero rows; strict callers validate beforehand.
+    /// The banded parallel base-row kernel behind
+    /// [`LevaModel::featurize`]: rows shard over deterministic thread bands
+    /// ([`LevaConfig::threads`](crate::LevaConfig)), bitwise identical at
+    /// any thread count. Out-of-range indices produce zero rows; the entry
+    /// point validates them first.
     pub(crate) fn featurize_base_rows_kernel(&self, rows: &[usize], feat: Featurization) -> Matrix {
         let fz = self.featurizer();
         let width = self.feature_dim(feat);
@@ -198,32 +187,9 @@ impl LevaModel {
         out
     }
 
-    /// Like [`LevaModel::featurize_base_rows`], but any out-of-range row
-    /// index is a typed [`LevaError::NodeIndex`] instead of a zero row.
-    /// Delegates to the unified [`LevaModel::featurize`] entry point.
-    pub fn try_featurize_base_rows(
-        &self,
-        rows: &[usize],
-        feat: Featurization,
-    ) -> Result<Matrix, LevaError> {
-        self.featurize(&crate::FeaturizeRequest::base_rows(rows.to_vec(), feat))
-    }
-
-    /// Featurizes all rows of the base table. Delegates to the unified
-    /// [`LevaModel::featurize`] entry point with
-    /// [`RowSource::BaseAll`](crate::RowSource), which uses the stored
-    /// base-table index — a by-name lookup that disagreed with it would
-    /// silently featurize zero rows.
-    pub fn featurize_base(&self, feat: Featurization) -> Matrix {
-        self.featurize(&crate::FeaturizeRequest::base_all(feat))
-            // BaseAll performs no fallible lookups; keep the wrapper
-            // infallible (and panic-free) like it always was.
-            .unwrap_or_else(|_| Matrix::zeros(0, self.feature_dim(feat)))
-    }
-
-    /// Reference (two-hop walk) implementation of
-    /// [`LevaModel::featurize_base_rows`], kept for the cached-vs-naive
-    /// equivalence tests and the stages bench. Not a serving API.
+    /// Reference (two-hop walk) implementation of base-row featurization,
+    /// kept for the cached-vs-naive equivalence tests and the stages bench.
+    /// Not a serving API.
     #[doc(hidden)]
     pub fn featurize_base_rows_walk(&self, rows: &[usize], feat: Featurization) -> Matrix {
         let mut out = Matrix::zeros(rows.len(), self.feature_dim(feat));
@@ -236,31 +202,28 @@ impl LevaModel {
         out
     }
 
-    /// Featurizes *out-of-sample* rows of a table with the base table's
-    /// schema (minus the target column). Unseen values are quantized by the
-    /// training encoders; completely unseen tokens contribute nothing. Rows
-    /// are sharded over deterministic thread bands, bitwise identical at
-    /// any thread count. Shares its kernel with the unified
-    /// [`LevaModel::featurize`] entry point
-    /// ([`RowSource::External`](crate::RowSource)); the borrowed-table
-    /// signature is kept so callers need not move their table into a
-    /// request.
-    pub fn featurize_external(&self, table: &Table, feat: Featurization) -> Matrix {
-        self.featurize_external_kernel(table, feat)
-    }
-
-    /// The whole-table external kernel behind the unified
-    /// [`LevaModel::featurize`] entry point and
-    /// [`LevaModel::featurize_external`]: encoders resolved once, rows
-    /// featurized in one banded chunk.
+    /// The external-table kernel behind [`LevaModel::featurize`]: rows of
+    /// a table with the base table's schema (minus the target column) are
+    /// encoded with the *training* encoders, resolved once per table, then
+    /// featurized over deterministic thread bands. Unseen values quantize
+    /// into training bins; completely unseen tokens contribute nothing.
     pub(crate) fn featurize_external_kernel(&self, table: &Table, feat: Featurization) -> Matrix {
         let encoders = self.external_encoders(table);
-        self.featurize_external_chunk(table, &encoders, 0..table.row_count(), feat)
+        let fz = self.featurizer();
+        let width = self.feature_dim(feat);
+        let mut out = Matrix::zeros(table.row_count(), width);
+        for_each_row_band(out.data_mut(), width, self.config.threads, |range, band| {
+            for (offset, i) in range.enumerate() {
+                let out_row = &mut band[offset * width..(offset + 1) * width];
+                let pairs = self.external_row_value_pairs(table, &encoders, i);
+                fz.accumulate(&self.graph, pairs.iter().copied(), None, out_row, feat);
+            }
+        });
+        out
     }
 
-    /// Reference (two-hop walk) implementation of
-    /// [`LevaModel::featurize_external`], kept for the cached-vs-naive
-    /// equivalence tests. Not a serving API.
+    /// Reference (two-hop walk) implementation of external featurization,
+    /// kept for the cached-vs-naive equivalence tests. Not a serving API.
     #[doc(hidden)]
     pub fn featurize_external_walk(&self, table: &Table, feat: Featurization) -> Matrix {
         let encoders = self.external_encoders(table);
@@ -272,29 +235,8 @@ impl LevaModel {
         out
     }
 
-    /// Streams featurizations of an external table in chunks of
-    /// `chunk_rows` rows — the serving shape when the batch does not fit
-    /// in memory at once. Concatenating the yielded matrices is bitwise
-    /// identical to [`LevaModel::featurize_external`] on the whole table,
-    /// at any thread count.
-    pub fn featurize_batch<'a>(
-        &'a self,
-        table: &'a Table,
-        chunk_rows: usize,
-        feat: Featurization,
-    ) -> FeaturizeBatch<'a> {
-        FeaturizeBatch {
-            model: self,
-            encoders: self.external_encoders(table),
-            table,
-            feat,
-            chunk_rows: chunk_rows.max(1),
-            next_row: 0,
-        }
-    }
-
     /// Per-column training encoders for an external table's schema,
-    /// resolved once per batch rather than once per row.
+    /// resolved once per table rather than once per row.
     fn external_encoders(&self, table: &Table) -> Vec<Option<&ColumnEncoder>> {
         table
             .column_names()
@@ -342,29 +284,6 @@ impl LevaModel {
             .collect()
     }
 
-    /// Featurizes one contiguous row range of an external table (shared by
-    /// [`LevaModel::featurize_external`] and [`FeaturizeBatch`]).
-    fn featurize_external_chunk(
-        &self,
-        table: &Table,
-        encoders: &[Option<&ColumnEncoder>],
-        rows: Range<usize>,
-        feat: Featurization,
-    ) -> Matrix {
-        let fz = self.featurizer();
-        let width = self.feature_dim(feat);
-        let mut out = Matrix::zeros(rows.len(), width);
-        let start = rows.start;
-        for_each_row_band(out.data_mut(), width, self.config.threads, |range, band| {
-            for (offset, i) in range.enumerate() {
-                let out_row = &mut band[offset * width..(offset + 1) * width];
-                let pairs = self.external_row_value_pairs(table, encoders, start + i);
-                fz.accumulate(&self.graph, pairs.iter().copied(), None, out_row, feat);
-            }
-        });
-        out
-    }
-
     /// The embedding vector of an arbitrary node by graph name (rows:
     /// `row::<table>::<idx>`; values: the token). String boundary: the
     /// name is hashed once against the shared symbol table.
@@ -387,53 +306,12 @@ impl LevaModel {
     }
 }
 
-/// Streaming external featurization (see [`LevaModel::featurize_batch`]):
-/// an iterator yielding one feature matrix per chunk of rows. Encoders are
-/// resolved once at construction; each chunk runs the same banded parallel
-/// kernel as [`LevaModel::featurize_external`].
-#[derive(Debug)]
-pub struct FeaturizeBatch<'a> {
-    model: &'a LevaModel,
-    table: &'a Table,
-    encoders: Vec<Option<&'a ColumnEncoder>>,
-    feat: Featurization,
-    chunk_rows: usize,
-    next_row: usize,
-}
-
-impl Iterator for FeaturizeBatch<'_> {
-    type Item = Matrix;
-
-    fn next(&mut self) -> Option<Matrix> {
-        let total = self.table.row_count();
-        if self.next_row >= total {
-            return None;
-        }
-        let end = (self.next_row + self.chunk_rows).min(total);
-        let chunk = self.model.featurize_external_chunk(
-            self.table,
-            &self.encoders,
-            self.next_row..end,
-            self.feat,
-        );
-        self.next_row = end;
-        Some(chunk)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.table.row_count().saturating_sub(self.next_row);
-        let chunks = remaining.div_ceil(self.chunk_rows);
-        (chunks, Some(chunks))
-    }
-}
-
-impl ExactSizeIterator for FeaturizeBatch<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::LevaConfig;
-    use crate::pipeline::Leva;
+    use crate::pipeline::{Leva, LevaError};
+    use crate::FeaturizeRequest;
     use leva_relational::{Database, Value};
 
     fn fit_fast(database: &Database) -> LevaModel {
@@ -464,29 +342,47 @@ mod tests {
         db
     }
 
+    fn base_rows(model: &LevaModel, rows: &[usize], feat: Featurization) -> Matrix {
+        model
+            .featurize(&FeaturizeRequest::base_rows(rows.to_vec(), feat))
+            .unwrap()
+    }
+
+    fn external(model: &LevaModel, table: &Table, feat: Featurization) -> Matrix {
+        model
+            .featurize(&FeaturizeRequest::external(table.clone(), feat))
+            .unwrap()
+    }
+
     #[test]
     fn base_featurization_shapes() {
         let model = fit_fast(&db());
-        let row_only = model.featurize_base(Featurization::RowOnly);
+        let row_only = model
+            .featurize(&FeaturizeRequest::base_all(Featurization::RowOnly))
+            .unwrap();
         assert_eq!(row_only.rows(), 40);
         assert_eq!(row_only.cols(), 32);
-        let rv = model.featurize_base(Featurization::RowPlusValue);
+        let rv = model
+            .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
+            .unwrap();
         assert_eq!(rv.cols(), 64);
     }
 
     #[test]
-    fn featurize_base_uses_stored_index_not_name() {
-        // Regression: `featurize_base` used to re-derive the base-table
-        // index by *name* while `featurize_base_rows` used the stored
-        // index; any disagreement silently featurized zero rows.
+    fn base_all_uses_stored_index_not_name() {
+        // Regression: whole-base-table featurization used to re-derive the
+        // base-table index by *name* while the row-indexed path used the
+        // stored index; any disagreement silently featurized zero rows.
         let mut model = fit_fast(&db());
         model.base_table = "renamed-elsewhere".to_owned();
-        let x = model.featurize_base(Featurization::RowPlusValue);
+        let x = model
+            .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
+            .unwrap();
         assert_eq!(x.rows(), 40);
         assert_eq!(x.cols(), model.feature_dim(Featurization::RowPlusValue));
         // And it matches the row-indexed path exactly.
         let rows: Vec<usize> = (0..40).collect();
-        let y = model.featurize_base_rows(&rows, Featurization::RowPlusValue);
+        let y = base_rows(&model, &rows, Featurization::RowPlusValue);
         for r in 0..40 {
             assert_eq!(x.row(r), y.row(r));
         }
@@ -495,7 +391,7 @@ mod tests {
     #[test]
     fn both_halves_populated() {
         let model = fit_fast(&db());
-        let rv = model.featurize_base_rows(&[0], Featurization::RowPlusValue);
+        let rv = base_rows(&model, &[0], Featurization::RowPlusValue);
         assert!(rv.row(0)[..32].iter().any(|&v| v != 0.0));
         assert!(rv.row(0)[32..].iter().any(|&v| v != 0.0));
     }
@@ -507,7 +403,7 @@ mod tests {
         let model = fit_fast(&db());
         let rows: Vec<usize> = (0..40).collect();
         for feat in [Featurization::RowOnly, Featurization::RowPlusValue] {
-            let cached = model.featurize_base_rows(&rows, feat);
+            let cached = base_rows(&model, &rows, feat);
             let walk = model.featurize_base_rows_walk(&rows, feat);
             for r in 0..rows.len() {
                 for (a, b) in cached.row(r).iter().zip(walk.row(r)) {
@@ -518,19 +414,23 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_rows_zero_fill_or_error() {
+    fn out_of_range_rows_error_and_the_kernel_zero_fills() {
         let model = fit_fast(&db());
-        let x = model.featurize_base_rows(&[0, 400], Featurization::RowPlusValue);
-        assert!(x.row(0).iter().any(|&v| v != 0.0));
-        assert!(x.row(1).iter().all(|&v| v == 0.0));
         let err = model
-            .try_featurize_base_rows(&[0, 400], Featurization::RowPlusValue)
+            .featurize(&FeaturizeRequest::base_rows(
+                vec![0, 400],
+                Featurization::RowPlusValue,
+            ))
             .unwrap_err();
         assert!(matches!(err, LevaError::NodeIndex(_)), "{err}");
-        let ok = model
-            .try_featurize_base_rows(&[0, 1], Featurization::RowPlusValue)
-            .unwrap();
-        assert_eq!(ok.rows(), 2);
+        assert_eq!(
+            base_rows(&model, &[0, 1], Featurization::RowPlusValue).rows(),
+            2
+        );
+        // The kernel itself never indexes out of the graph.
+        let x = model.featurize_base_rows_kernel(&[0, 400], Featurization::RowPlusValue);
+        assert!(x.row(0).iter().any(|&v| v != 0.0));
+        assert!(x.row(1).iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -539,12 +439,12 @@ mod tests {
         // very close to the training featurization (value half especially).
         let database = db();
         let model = fit_fast(&database);
-        let train = model.featurize_base_rows(&[7], Featurization::RowOnly);
+        let train = base_rows(&model, &[7], Featurization::RowOnly);
         let base = database.table("base").unwrap();
         let mut one = Table::new("t", base.column_names());
         one.push_row(base.row(7).unwrap()).unwrap();
         let one = one.drop_columns(&["target"]).unwrap();
-        let ext = model.featurize_external(&one, Featurization::RowOnly);
+        let ext = external(&model, &one, Featurization::RowOnly);
         let cos = leva_linalg::cosine_similarity(train.row(0), ext.row(0));
         assert!(cos > 0.98, "train/external cosine {cos}");
     }
@@ -555,7 +455,7 @@ mod tests {
         let mut test = Table::new("test", vec!["id", "grp", "amount"]);
         test.push_row(vec!["unseen_id".into(), "a".into(), Value::Float(1e9)])
             .unwrap();
-        let x = model.featurize_external(&test, Featurization::RowOnly);
+        let x = external(&model, &test, Featurization::RowOnly);
         assert_eq!(x.rows(), 1);
         assert!(x.row(0).iter().any(|&v| v != 0.0));
     }
@@ -565,45 +465,8 @@ mod tests {
         let model = fit_fast(&db());
         let mut test = Table::new("test", vec!["grp"]);
         test.push_row(vec!["never_seen_value_xyz".into()]).unwrap();
-        let x = model.featurize_external(&test, Featurization::RowOnly);
+        let x = external(&model, &test, Featurization::RowOnly);
         assert!(x.row(0).iter().all(|&v| v == 0.0));
-    }
-
-    /// Chunked streaming yields exactly the rows of the one-shot external
-    /// featurization, bit for bit, for every chunk size.
-    #[test]
-    fn featurize_batch_matches_external_bitwise() {
-        let database = db();
-        let model = fit_fast(&database);
-        let ext = database
-            .table("base")
-            .unwrap()
-            .drop_columns(&["target"])
-            .unwrap();
-        let whole = model.featurize_external(&ext, Featurization::RowPlusValue);
-        for chunk_rows in [1usize, 7, 40, 1000] {
-            let mut seen = 0usize;
-            let mut chunks = 0usize;
-            for chunk in model.featurize_batch(&ext, chunk_rows, Featurization::RowPlusValue) {
-                assert_eq!(chunk.cols(), whole.cols());
-                for r in 0..chunk.rows() {
-                    for (a, b) in chunk.row(r).iter().zip(whole.row(seen + r)) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "chunk_rows={chunk_rows}");
-                    }
-                }
-                seen += chunk.rows();
-                chunks += 1;
-            }
-            assert_eq!(seen, whole.rows());
-            assert_eq!(chunks, whole.rows().div_ceil(chunk_rows));
-        }
-        // A zero chunk size is clamped rather than looping forever.
-        assert_eq!(
-            model
-                .featurize_batch(&ext, 0, Featurization::RowOnly)
-                .count(),
-            ext.row_count()
-        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!    inference-time values.
 //!
 //! ```
-//! use leva::{Featurization, Leva, LevaConfig};
+//! use leva::{Featurization, FeaturizeRequest, Leva, LevaConfig};
 //! use leva_relational::{Database, Table, Value};
 //!
 //! let mut db = Database::new();
@@ -48,7 +48,9 @@
 //!     .target("income")
 //!     .fit(&db)
 //!     .unwrap();
-//! let features = model.featurize_base(Featurization::RowPlusValue);
+//! let features = model
+//!     .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
+//!     .unwrap();
 //! assert_eq!(features.rows(), 20);
 //! ```
 
@@ -69,7 +71,6 @@ mod timing;
 pub use artifact::ArtifactError;
 pub use config::{EmbeddingMethod, Featurization, LevaConfig};
 pub use delta::{AppendReport, DeltaRecord};
-pub use deploy::FeaturizeBatch;
 pub use er::{match_embeddings, resolve_entities, score_matches, ErOptions, ErResult};
 pub use featurizer::Featurizer;
 pub use finetune::{droppable_tables, finetune_drop_tables};

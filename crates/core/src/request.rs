@@ -1,19 +1,15 @@
-//! The unified featurization request (DESIGN.md §6.12): one typed entry
-//! point for every way a fitted model can be asked for features.
+//! The featurization request (DESIGN.md §6.12): one typed entry point for
+//! every way a fitted model can be asked for features.
 //!
-//! Deployment grew several parallel `featurize_*` methods with subtly
-//! different row addressing (all base rows, base rows by index, external
-//! tables) and error behaviour (zero-fill vs typed errors). A network
-//! boundary would fossilize those differences into a protocol, so the
-//! surface is collapsed first: a [`FeaturizeRequest`] names *what rows*
-//! ([`RowSource`]) and *which featurization* ([`Featurization`]), and
-//! [`LevaModel::featurize`] is the single evaluator. The serving daemon
-//! (`leva-serve`) speaks exactly this type on the wire, in JSON and in the
-//! binary protocol.
+//! A [`FeaturizeRequest`] names *what rows* ([`RowSource`]: all base rows,
+//! base rows by index, or an external table) and *which featurization*
+//! ([`Featurization`]), and [`LevaModel::featurize`] is the single
+//! evaluator — the library has no other featurization method. The serving
+//! daemon (`leva-serve`) speaks exactly this type on the wire, in JSON and
+//! in the binary protocol.
 //!
-//! The historical methods remain as thin wrappers over the same kernels
-//! (see `deploy.rs`); the `*_walk` variants stay doc-hidden reference
-//! implementations for the equivalence tests.
+//! The kernels live in `deploy.rs`, next to the doc-hidden `*_walk`
+//! reference implementations the equivalence tests compare against.
 
 use crate::config::Featurization;
 use crate::pipeline::{LevaError, LevaModel};
@@ -87,36 +83,22 @@ impl FeaturizeRequest {
 
 impl LevaModel {
     /// Evaluates a [`FeaturizeRequest`]: the single featurization entry
-    /// point shared by the library wrappers and the serving daemon.
+    /// point shared by the library and the serving daemon.
     ///
     /// Rows shard over deterministic thread bands
     /// ([`LevaConfig::threads`](crate::LevaConfig)); outputs are bitwise
-    /// identical at any thread count and bitwise identical to the
-    /// historical `featurize_*` methods. Every [`RowSource::BaseRows`]
-    /// index is validated up front — a bad index fails the whole request
-    /// with [`LevaError::NodeIndex`] before any row is featurized.
+    /// identical at any thread count. Every [`RowSource::BaseRows`] index
+    /// is validated up front — a bad index fails the whole request with
+    /// [`LevaError::NodeIndex`] before any row is featurized.
     ///
-    /// For a model served from a mapping ([`LevaModel::load_mmap`]) this is
-    /// also where the deferred `STOR` and `GRPH` CRCs (and the adjacency
-    /// symmetry invariant) are settled: the first call hashes each mapped
-    /// payload once, and a corrupt store or graph fails every request with
+    /// For a model served from a mapping ([`LevaModel::load_mmap`]) every
+    /// request first runs [`LevaModel::verify_deferred`]: the first call
+    /// hashes each mapped payload once, and a corrupt store or graph fails
+    /// every request with
     /// [`ArtifactError::ChecksumMismatch`](crate::ArtifactError) instead of
     /// silently featurizing from flipped bits.
     pub fn featurize(&self, request: &FeaturizeRequest) -> Result<Matrix, LevaError> {
-        if !self.store.verify_mapped() {
-            return Err(LevaError::Artifact(
-                crate::ArtifactError::ChecksumMismatch {
-                    chunk: "STOR".to_owned(),
-                },
-            ));
-        }
-        if !self.graph.verify_mapped() {
-            return Err(LevaError::Artifact(
-                crate::ArtifactError::ChecksumMismatch {
-                    chunk: "GRPH".to_owned(),
-                },
-            ));
-        }
+        self.verify_deferred()?;
         match &request.source {
             RowSource::BaseAll => {
                 let rows: Vec<usize> = (0..self.base_row_count()).collect();
@@ -166,48 +148,6 @@ mod tests {
             .target("target")
             .fit(database)
             .unwrap()
-    }
-
-    fn assert_bitwise(a: &Matrix, b: &Matrix) {
-        assert_eq!(a.rows(), b.rows());
-        assert_eq!(a.cols(), b.cols());
-        for r in 0..a.rows() {
-            for (x, y) in a.row(r).iter().zip(b.row(r)) {
-                assert_eq!(x.to_bits(), y.to_bits(), "row {r}");
-            }
-        }
-    }
-
-    /// Every historical entry point produces bitwise-identical output to
-    /// the unified request it now delegates to.
-    #[test]
-    fn wrappers_match_unified_entry_point() {
-        let database = db();
-        let model = fit_fast(&database);
-        for feat in [Featurization::RowOnly, Featurization::RowPlusValue] {
-            let unified = model.featurize(&FeaturizeRequest::base_all(feat)).unwrap();
-            assert_bitwise(&unified, &model.featurize_base(feat));
-
-            let rows: Vec<usize> = vec![3, 0, 17, 17, 29];
-            let unified = model
-                .featurize(&FeaturizeRequest::base_rows(rows.clone(), feat))
-                .unwrap();
-            assert_bitwise(&unified, &model.featurize_base_rows(&rows, feat));
-            assert_bitwise(
-                &unified,
-                &model.try_featurize_base_rows(&rows, feat).unwrap(),
-            );
-
-            let external = database
-                .table("base")
-                .unwrap()
-                .drop_columns(&["target"])
-                .unwrap();
-            let unified = model
-                .featurize(&FeaturizeRequest::external(external.clone(), feat))
-                .unwrap();
-            assert_bitwise(&unified, &model.featurize_external(&external, feat));
-        }
     }
 
     #[test]

@@ -85,25 +85,34 @@ impl StageTimings {
     }
 }
 
-/// Total CPU time (user + system) consumed by this process so far. Reads
-/// `/proc/self/stat` on Linux; returns zero where that is unavailable, so
-/// CPU columns degrade gracefully instead of breaking the pipeline.
+/// Total CPU time (user + system) consumed by this process so far, at the
+/// kernel's nanosecond accounting resolution
+/// (`clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`). Linux only; returns zero
+/// elsewhere (or if the call fails), so CPU columns degrade gracefully
+/// instead of breaking the pipeline.
 pub fn process_cpu_time() -> Duration {
     #[cfg(target_os = "linux")]
     {
-        if let Ok(stat) = std::fs::read_to_string("/proc/self/stat") {
-            // Fields 14 (utime) and 15 (stime) in clock ticks, counted from
-            // after the parenthesized comm field (which may contain spaces).
-            if let Some(rest) = stat.rsplit(')').next() {
-                let fields: Vec<&str> = rest.split_whitespace().collect();
-                // rest starts at field 3 ("state"), so utime/stime are at
-                // offsets 11 and 12.
-                if fields.len() > 12 {
-                    let utime: u64 = fields[11].parse().unwrap_or(0);
-                    let stime: u64 = fields[12].parse().unwrap_or(0);
-                    let tick = tick_duration();
-                    return tick * (utime + stime) as u32;
-                }
+        // Minimal clock_gettime(2) binding: the workspace builds offline
+        // with no libc crate. `struct timespec` is two C longs on Linux.
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: std::ffi::c_long,
+            tv_nsec: std::ffi::c_long,
+        }
+        extern "C" {
+            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+        }
+        const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
+        // SAFETY: `ts` is a valid, writable timespec for the duration of
+        // the call, which writes nothing else.
+        if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } == 0 {
+            if let (Ok(secs), Ok(nanos)) = (u64::try_from(ts.tv_sec), u32::try_from(ts.tv_nsec)) {
+                return Duration::new(secs, nanos);
             }
         }
         Duration::ZERO
@@ -112,12 +121,6 @@ pub fn process_cpu_time() -> Duration {
     {
         Duration::ZERO
     }
-}
-
-/// Seconds per clock tick (`_SC_CLK_TCK` is 100 on every mainstream Linux).
-#[cfg(target_os = "linux")]
-fn tick_duration() -> Duration {
-    Duration::from_millis(10)
 }
 
 #[cfg(test)]
@@ -177,5 +180,29 @@ mod tests {
         std::hint::black_box(x);
         let b = process_cpu_time();
         assert!(b >= a);
+    }
+
+    /// Stages far shorter than a 10 ms clock tick still report non-zero
+    /// CPU time — every one of them, not just those that happen to
+    /// straddle a tick boundary.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn cpu_time_resolves_sub_tick_stages() {
+        for stage in 0..5 {
+            let start = process_cpu_time();
+            let wall = std::time::Instant::now();
+            let mut x = 0u64;
+            while wall.elapsed() < Duration::from_millis(3) {
+                for i in 0..1_000u64 {
+                    x = x.wrapping_add(i * i);
+                }
+                std::hint::black_box(x);
+            }
+            let spent = process_cpu_time() - start;
+            assert!(
+                spent > Duration::ZERO,
+                "3 ms busy stage {stage} reported {spent:?} CPU"
+            );
+        }
     }
 }

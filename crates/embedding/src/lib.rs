@@ -18,12 +18,10 @@
 #![allow(clippy::needless_range_loop)]
 
 mod corpus;
-pub mod json;
 mod mf;
 mod node2vec;
 mod quant;
 mod retrofit;
-mod serialize;
 mod sgns;
 mod store;
 mod walks;
@@ -33,11 +31,8 @@ pub use mf::{build_mf_embedding, proximity_matrix, MfConfig};
 pub use node2vec::{node2vec_walks, Node2VecConfig};
 pub use quant::{Precision, QuantizedStore};
 pub use retrofit::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
-pub use serialize::{decode_corpus, encode_corpus, CorpusDecodeError};
 pub use sgns::{train_sgns, SgnsConfig, SgnsModel};
-pub use store::{
-    DenseView, EmbeddingBacking, EmbeddingStore, MappedStore, StoreFileError, UnknownTokenError,
-};
+pub use store::{DenseView, EmbeddingBacking, EmbeddingStore, MappedStore, UnknownTokenError};
 pub use walks::{build_alias_tables, estimated_alias_bytes, generate_walks, WalkConfig};
 
 pub use leva_interner::{TokenId, TokenInterner};

@@ -36,7 +36,7 @@ pub enum Precision {
 }
 
 impl Precision {
-    /// Stable wire tag (artifact CONF chunk, v3+).
+    /// Stable wire tag (artifact CONF chunk).
     pub fn as_u8(self) -> u8 {
         match self {
             Precision::F64 => 0,

@@ -8,19 +8,18 @@
 //! The pipeline bulk-builds through [`EmbeddingStore::insert_id`] /
 //! [`EmbeddingStore::get_id`] with zero hashing; string-keyed access
 //! ([`EmbeddingStore::insert`], [`EmbeddingStore::get`]) remains for the
-//! serialization, deployment, and baseline boundaries.
+//! deployment and baseline boundaries.
+//!
+//! The store persists only as the `STOR` chunk of the model artifact, in
+//! one aligned layout ([`EmbeddingStore::encode_aligned_into`]) that is
+//! either copied onto the heap ([`EmbeddingStore::decode_aligned`]) or
+//! served in place from a file mapping ([`EmbeddingStore::from_mapped`]).
 
-use crate::json;
 use leva_interner::codec::{crc32, ByteReader, ByteWriter, DecodeError};
 use leva_interner::{MmapFile, TokenId, TokenInterner};
 use leva_linalg::{Matrix, Pca};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-
-/// Magic bytes of the standalone binary store file format.
-const STORE_MAGIC: &[u8; 4] = b"LVST";
-/// Version of the standalone binary store file format.
-const STORE_VERSION: u32 = 1;
 
 /// A token → vector map with a fixed dimensionality, stored densely over
 /// the interned `TokenId` space.
@@ -383,7 +382,7 @@ impl EmbeddingStore {
         }
     }
 
-    /// Tokens sorted lexicographically (deterministic order for exports).
+    /// Tokens sorted lexicographically (a deterministic iteration order).
     pub fn sorted_tokens(&self) -> Vec<&str> {
         let mut t: Vec<&str> = self.iter().map(|(tok, _)| tok).collect();
         t.sort_unstable();
@@ -391,7 +390,7 @@ impl EmbeddingStore {
     }
 
     /// `(token, id, vector)` triples in sorted-token order — the
-    /// deterministic iteration behind exports and PCA.
+    /// deterministic iteration behind PCA.
     fn sorted_entries(&self) -> Vec<(&str, TokenId, &[f64])> {
         let mut entries: Vec<(&str, TokenId, &[f64])> = self
             .iter_ids()
@@ -430,91 +429,13 @@ impl EmbeddingStore {
         out
     }
 
-    /// Serializes to a JSON string. Tokens are emitted in sorted order, so
-    /// the output is deterministic and diff-friendly. This is one of the
-    /// few places token text is materialized.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + self.estimated_bytes() / 2);
-        out.push_str("{\"dim\":");
-        out.push_str(&self.dim.to_string());
-        out.push_str(",\"vectors\":{");
-        for (i, (token, _, vector)) in self.sorted_entries().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_string(&mut out, token);
-            out.push_str(":[");
-            for (j, &v) in vector.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json::write_f64(&mut out, v);
-            }
-            out.push(']');
-        }
-        out.push_str("}}");
-        out
-    }
-
-    /// Deserializes from JSON produced by [`EmbeddingStore::to_json`].
-    pub fn from_json(s: &str) -> Result<EmbeddingStore, StoreJsonError> {
-        let value = json::parse(s)?;
-        let obj = value
-            .as_object()
-            .ok_or(StoreJsonError::Shape("top-level must be an object"))?;
-        let dim = obj
-            .iter()
-            .find(|(k, _)| k == "dim")
-            .and_then(|(_, v)| v.as_f64())
-            .ok_or(StoreJsonError::Shape("missing numeric \"dim\""))?;
-        if dim < 0.0 || dim.fract() != 0.0 {
-            return Err(StoreJsonError::Shape(
-                "\"dim\" must be a non-negative integer",
-            ));
-        }
-        let mut store = EmbeddingStore::new(dim as usize);
-        let vectors = obj
-            .iter()
-            .find(|(k, _)| k == "vectors")
-            .and_then(|(_, v)| v.as_object())
-            .ok_or(StoreJsonError::Shape("missing \"vectors\" object"))?;
-        for (token, vec_value) in vectors {
-            let arr = vec_value
-                .as_array()
-                .ok_or(StoreJsonError::Shape("vector must be an array"))?;
-            let mut vector = Vec::with_capacity(arr.len());
-            for v in arr {
-                vector.push(
-                    v.as_f64_or_null()
-                        .ok_or(StoreJsonError::Shape("vector entries must be numbers"))?,
-                );
-            }
-            if vector.len() != store.dim {
-                return Err(StoreJsonError::Shape("vector length differs from \"dim\""));
-            }
-            store.insert(token, vector);
-        }
-        Ok(store)
-    }
-
-    /// Serializes the dense vector table as `dim | count | (id, dim × f64
-    /// bits)` entries in id order. The symbol table is stored separately by
-    /// the artifact layer; vectors round-trip bit-exactly.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u32(u32::try_from(self.dim).expect("dimension fits u32"));
-        w.put_u32(u32::try_from(self.len()).expect("vector count fits u32"));
-        for (id, vec) in self.iter_ids() {
-            w.put_u32(id.raw());
-            w.put_f64_slice(vec);
-        }
-    }
-
-    /// Serializes the dense vector table in the v3 *aligned* layout:
+    /// Serializes the dense vector table in the *aligned* `STOR` layout:
     /// `u32 dim | u32 count | count ascending u32 ids | pad-to-8 |
     /// count × dim f64 matrix`. Framed at an 8-aligned payload offset, the
     /// matrix can be served zero-copy out of a file mapping (the header is
     /// 8 bytes, so the id array starts aligned and the pad realigns the
-    /// matrix). Round-trips bit-exactly with the row-wise v1/v2 layout.
+    /// matrix). The symbol table is stored separately by the artifact
+    /// layer; vectors round-trip bit-exactly.
     pub fn encode_aligned_into(&self, w: &mut ByteWriter) {
         w.put_u32(u32::try_from(self.dim).expect("dimension fits u32"));
         w.put_u32(u32::try_from(self.len()).expect("vector count fits u32"));
@@ -527,59 +448,48 @@ impl EmbeddingStore {
         }
     }
 
-    /// Decodes the v3 aligned layout (see
-    /// [`EmbeddingStore::encode_aligned_into`]) into a heap store — the
-    /// compatibility path used by `from_bytes` and by big-endian targets,
-    /// where zero-copy f64 views are unavailable.
-    pub fn decode_aligned_with_symbols(
-        r: &mut ByteReader<'_>,
+    /// Decodes a whole aligned `STOR` payload (see
+    /// [`EmbeddingStore::encode_aligned_into`]) into a heap store: runs the
+    /// shared layout validation, then copies every row out. Used by
+    /// `from_bytes` and wherever zero-copy f64 views are unavailable.
+    pub fn decode_aligned(
+        payload: &[u8],
         symbols: Arc<TokenInterner>,
     ) -> Result<EmbeddingStore, DecodeError> {
-        let dim = r.take_u32()? as usize;
-        // Each entry needs 4 id bytes + dim×8 matrix bytes downstream.
-        let per_entry = dim
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(4))
-            .ok_or(DecodeError::LengthOverflow)?;
-        let count = r.take_count(per_entry)?;
-        let mut ids = Vec::with_capacity(count);
-        let mut prev: Option<u32> = None;
-        for _ in 0..count {
-            let id = r.take_u32()?;
-            if (id as usize) >= symbols.len() {
-                return Err(DecodeError::Invalid("store token outside symbol table"));
-            }
-            if prev.is_some_and(|p| p >= id) {
-                return Err(DecodeError::Invalid("store ids not strictly ascending"));
-            }
-            prev = Some(id);
-            ids.push(id);
-        }
-        r.pad_to(8)?;
-        let mut store = EmbeddingStore::with_symbols(symbols, dim);
-        for id in ids {
-            let bytes = r.take_raw(dim * 8)?;
-            let vec: Vec<f64> = bytes
-                .chunks_exact(8)
-                .map(|b| {
-                    f64::from_bits(u64::from_le_bytes([
-                        b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-                    ]))
+        let layout = StoreLayout::parse(payload, symbols.len())?;
+        let row_bytes = layout.dim * 8;
+        let matrix = &payload[layout.data_at..];
+        let vectors = layout
+            .slots
+            .iter()
+            .map(|&slot| {
+                (slot != NO_ROW).then(|| {
+                    matrix[slot as usize * row_bytes..][..row_bytes]
+                        .chunks_exact(8)
+                        .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte word")))
+                        .collect()
                 })
-                .collect();
-            store.insert_id(TokenId::from_index(id as usize), vec);
-        }
-        Ok(store)
+            })
+            .collect();
+        Ok(EmbeddingStore {
+            dim: layout.dim,
+            symbols,
+            backing: EmbeddingBacking::Heap {
+                vectors,
+                count: layout.count,
+            },
+        })
     }
 
-    /// Builds a zero-copy store over a v3 STOR payload inside `map`.
+    /// Builds a zero-copy store over an aligned `STOR` payload inside
+    /// `map`.
     ///
-    /// Validates geometry only — offsets, alignment, id ordering and the
-    /// exact payload length — in `O(count)`, independent of `dim`; the
-    /// payload CRC is deferred to [`EmbeddingStore::verify_mapped`] (lazy,
-    /// first featurization touch). On big-endian targets, where the f64
-    /// matrix cannot be viewed in place, the payload is decoded to the heap
-    /// instead (same validation, no zero-copy property).
+    /// Runs the shared layout validation — offsets, alignment, id ordering
+    /// and the exact payload length — in `O(count)`, independent of `dim`;
+    /// the payload CRC is deferred to [`EmbeddingStore::verify_mapped`]
+    /// (lazy, first featurization touch). Big-endian targets and
+    /// heap-backed "mappings", where the f64 matrix cannot be viewed in
+    /// place, decode to the heap instead.
     pub fn from_mapped(
         symbols: Arc<TokenInterner>,
         map: Arc<MmapFile>,
@@ -595,18 +505,61 @@ impl EmbeddingStore {
             return Err(DecodeError::Invalid("STOR payload offset not 8-aligned"));
         }
         let payload = &map[payload_offset..end];
+        if !cfg!(target_endian = "little") || !map.is_mapped() {
+            return Self::decode_aligned(payload, symbols);
+        }
+        let layout = StoreLayout::parse(payload, symbols.len())?;
+        Ok(EmbeddingStore {
+            dim: layout.dim,
+            symbols,
+            backing: EmbeddingBacking::Mapped(MappedStore {
+                map,
+                slots: layout.slots,
+                data_offset: payload_offset + layout.data_at,
+                count: layout.count,
+                payload_offset,
+                payload_len,
+                crc,
+                verified: Arc::new(AtomicU8::new(CRC_UNCHECKED)),
+            }),
+        })
+    }
+}
+
+/// The validated geometry of an aligned `STOR` payload: the header and id
+/// array decoded into a token→row slot table, the f64 matrix located by its
+/// payload-relative byte offset. Shared by the heap decode and the
+/// zero-copy mapped view, so both accept exactly the same payloads.
+struct StoreLayout {
+    dim: usize,
+    /// Token id → packed matrix row; `NO_ROW` for tokens without a vector.
+    slots: Vec<u32>,
+    /// Number of packed rows.
+    count: usize,
+    /// Byte offset of the `count × dim` matrix (8-aligned).
+    data_at: usize,
+}
+
+impl StoreLayout {
+    /// Parses and validates a whole `STOR` payload against a symbol table
+    /// of `n_symbols` tokens: the declared count fits the buffer before
+    /// anything is allocated from it, ids are in range and strictly
+    /// ascending, the padding is canonical, and the matrix fills the rest
+    /// of the payload exactly.
+    fn parse(payload: &[u8], n_symbols: usize) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(payload);
         let dim = r.take_u32()? as usize;
+        // Each entry needs 4 id bytes + dim×8 matrix bytes downstream.
         let per_entry = dim
             .checked_mul(8)
             .and_then(|b| b.checked_add(4))
             .ok_or(DecodeError::LengthOverflow)?;
         let count = r.take_count(per_entry)?;
-        let mut slots = vec![NO_ROW; symbols.len()];
+        let mut slots = vec![NO_ROW; n_symbols];
         let mut prev: Option<u32> = None;
         for row in 0..count {
             let id = r.take_u32()?;
-            if (id as usize) >= symbols.len() {
+            if (id as usize) >= n_symbols {
                 return Err(DecodeError::Invalid("store token outside symbol table"));
             }
             if prev.is_some_and(|p| p >= id) {
@@ -620,207 +573,16 @@ impl EmbeddingStore {
             .checked_mul(dim)
             .and_then(|n| n.checked_mul(8))
             .ok_or(DecodeError::LengthOverflow)?;
-        if r.remaining() != matrix_bytes {
-            return Err(DecodeError::Invalid("STOR payload length mismatch"));
-        }
-        if !cfg!(target_endian = "little") {
-            let mut r = ByteReader::new(payload);
-            return Self::decode_aligned_with_symbols(&mut r, symbols);
-        }
-        let data_offset = payload_offset + r.consumed();
-        debug_assert_eq!(data_offset % 8, 0);
-        Ok(EmbeddingStore {
-            dim,
-            symbols,
-            backing: EmbeddingBacking::Mapped(MappedStore {
-                map,
+        match r.remaining().cmp(&matrix_bytes) {
+            std::cmp::Ordering::Less => Err(DecodeError::Truncated),
+            std::cmp::Ordering::Greater => Err(DecodeError::Invalid("trailing bytes after store")),
+            std::cmp::Ordering::Equal => Ok(Self {
+                dim,
                 slots,
-                data_offset,
                 count,
-                payload_offset,
-                payload_len,
-                crc,
-                verified: Arc::new(AtomicU8::new(CRC_UNCHECKED)),
+                data_at: r.consumed(),
             }),
-        })
-    }
-
-    /// Decodes a store against an existing symbol table, validating the
-    /// declared entry count against the remaining buffer before allocating
-    /// and range-checking every token id.
-    pub fn decode_with_symbols(
-        r: &mut ByteReader<'_>,
-        symbols: Arc<TokenInterner>,
-    ) -> Result<EmbeddingStore, DecodeError> {
-        let dim = r.take_u32()? as usize;
-        let per_entry = dim
-            .checked_mul(8)
-            .and_then(|b| b.checked_add(4))
-            .ok_or(DecodeError::LengthOverflow)?;
-        let count = r.take_count(per_entry)?;
-        let mut store = EmbeddingStore::with_symbols(symbols, dim);
-        for _ in 0..count {
-            let id = r.take_u32()? as usize;
-            if id >= store.symbols.len() {
-                return Err(DecodeError::Invalid("store token outside symbol table"));
-            }
-            let mut vec = Vec::with_capacity(dim);
-            for _ in 0..dim {
-                vec.push(r.take_f64()?);
-            }
-            let id = TokenId::from_index(id);
-            if store.get_id(id).is_some() {
-                return Err(DecodeError::Invalid("duplicate store entry"));
-            }
-            store.insert_id(id, vec);
         }
-        Ok(store)
-    }
-
-    /// Serializes the store (symbol table + vectors) into the standalone
-    /// binary file format: `LVST | u32 version | u32 crc32 | payload`, the
-    /// same bounded codec substrate as the model artifact. Vectors
-    /// round-trip bit-exactly, unlike the JSON export (which loses NaN
-    /// payloads and ±inf to `null`).
-    pub fn to_store_bytes(&self) -> Vec<u8> {
-        let mut payload = ByteWriter::new();
-        self.symbols.encode_into(&mut payload);
-        self.encode_into(&mut payload);
-        let payload = payload.into_bytes();
-        let mut w = ByteWriter::with_capacity(payload.len() + 12);
-        w.put_raw(STORE_MAGIC);
-        w.put_u32(STORE_VERSION);
-        w.put_u32(crc32(&payload));
-        w.put_raw(&payload);
-        w.into_bytes()
-    }
-
-    /// Decodes a store written by [`EmbeddingStore::to_store_bytes`].
-    /// Strictly bounded: every declared length is validated against the
-    /// remaining buffer before allocation, and every failure is a typed
-    /// [`StoreFileError`] — including a dedicated message when the bytes
-    /// look like the deprecated JSON store format.
-    pub fn from_store_bytes(bytes: &[u8]) -> Result<EmbeddingStore, StoreFileError> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.take_raw(4).map_err(StoreFileError::Decode)?;
-        if magic != STORE_MAGIC {
-            return Err(StoreFileError::BadMagic {
-                looks_like_legacy_json: bytes.first() == Some(&b'{'),
-            });
-        }
-        let version = r.take_u32().map_err(StoreFileError::Decode)?;
-        if version != STORE_VERSION {
-            return Err(StoreFileError::UnsupportedVersion(version));
-        }
-        let crc = r.take_u32().map_err(StoreFileError::Decode)?;
-        let payload = r.take_raw(r.remaining()).map_err(StoreFileError::Decode)?;
-        if crc32(payload) != crc {
-            return Err(StoreFileError::ChecksumMismatch);
-        }
-        let mut r = ByteReader::new(payload);
-        let symbols = Arc::new(TokenInterner::decode(&mut r).map_err(StoreFileError::Decode)?);
-        let store =
-            EmbeddingStore::decode_with_symbols(&mut r, symbols).map_err(StoreFileError::Decode)?;
-        if !r.is_exhausted() {
-            return Err(StoreFileError::Decode(DecodeError::Invalid(
-                "trailing bytes after store payload",
-            )));
-        }
-        Ok(store)
-    }
-
-    /// Writes the store to a file in the binary `LVST` format
-    /// (see [`EmbeddingStore::to_store_bytes`]).
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), StoreFileError> {
-        std::fs::write(path, self.to_store_bytes()).map_err(StoreFileError::Io)
-    }
-
-    /// Loads a store saved by [`EmbeddingStore::save`]. Files in the
-    /// deprecated JSON format are rejected with a migration hint — read
-    /// those with [`EmbeddingStore::from_json`] and re-save.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<EmbeddingStore, StoreFileError> {
-        Self::from_store_bytes(&std::fs::read(path).map_err(StoreFileError::Io)?)
-    }
-}
-
-/// Errors produced while reading or writing a standalone store file.
-#[derive(Debug)]
-pub enum StoreFileError {
-    /// Reading or writing the file failed.
-    Io(std::io::Error),
-    /// The buffer does not start with the `LVST` magic bytes.
-    BadMagic {
-        /// True when the bytes look like the deprecated JSON store format
-        /// (pre-binary `save`), which must be migrated via
-        /// [`EmbeddingStore::from_json`].
-        looks_like_legacy_json: bool,
-    },
-    /// The file was written by an unsupported format version.
-    UnsupportedVersion(u32),
-    /// The payload does not match its CRC-32 header.
-    ChecksumMismatch,
-    /// The payload failed bounded decoding.
-    Decode(DecodeError),
-}
-
-impl std::fmt::Display for StoreFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Io(e) => write!(f, "store file I/O error: {e}"),
-            Self::BadMagic {
-                looks_like_legacy_json: true,
-            } => write!(
-                f,
-                "not a binary embedding store (bad magic): this looks like the \
-                 deprecated JSON store format — load it with \
-                 EmbeddingStore::from_json and re-save to migrate"
-            ),
-            Self::BadMagic { .. } => {
-                write!(f, "not a binary embedding store (bad magic)")
-            }
-            Self::UnsupportedVersion(v) => write!(f, "unsupported store file version {v}"),
-            Self::ChecksumMismatch => write!(f, "store payload failed its CRC-32 check"),
-            Self::Decode(e) => write!(f, "store payload failed to decode: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreFileError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Io(e) => Some(e),
-            Self::Decode(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// Errors produced while decoding an embedding-store JSON document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreJsonError {
-    /// The text is not syntactically valid JSON.
-    Syntax {
-        /// Byte offset of the failure.
-        offset: usize,
-    },
-    /// The JSON parses but does not have the embedding-store shape.
-    Shape(&'static str),
-}
-
-impl std::fmt::Display for StoreJsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Syntax { offset } => write!(f, "invalid JSON at byte {offset}"),
-            Self::Shape(msg) => write!(f, "unexpected embedding-store JSON shape: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreJsonError {}
-
-impl From<json::ParseError> for StoreJsonError {
-    fn from(e: json::ParseError) -> Self {
-        Self::Syntax { offset: e.offset }
     }
 }
 
@@ -884,117 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let s = store();
-        let j = s.to_json();
-        let back = EmbeddingStore::from_json(&j).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back.get("b"), s.get("b"));
-        assert_eq!(back.dim(), 3);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let s = store();
-        let dir = std::env::temp_dir().join("leva_store_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("emb.lvst");
-        s.save(&path).unwrap();
-        let back = EmbeddingStore::load(&path).unwrap();
-        assert_eq!(back.len(), s.len());
-        assert_eq!(back.get("c"), s.get("c"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        let err = EmbeddingStore::load("/definitely/not/a/file.lvst").unwrap_err();
-        assert!(matches!(err, StoreFileError::Io(_)), "{err}");
-    }
-
-    /// The binary store file round-trips bit-exactly (including NaN
-    /// payloads and ±inf, which the JSON export cannot represent).
-    #[test]
-    fn store_file_round_trips_bit_exactly() {
-        let mut s = EmbeddingStore::new(2);
-        s.insert("a", vec![f64::NAN, f64::INFINITY]);
-        s.insert("b", vec![-0.0, 2.0_f64.powi(-1022)]);
-        let bytes = s.to_store_bytes();
-        let back = EmbeddingStore::from_store_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), s.len());
-        assert_eq!(back.dim(), s.dim());
-        for token in ["a", "b"] {
-            for (x, y) in s.get(token).unwrap().iter().zip(back.get(token).unwrap()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        // Fixed point: re-encoding the loaded store reproduces the bytes.
-        assert_eq!(back.to_store_bytes(), bytes);
-    }
-
-    /// A file in the deprecated JSON format is rejected with a migration
-    /// hint, not a generic decode error.
-    #[test]
-    fn legacy_json_store_gets_migration_hint() {
-        let s = store();
-        let err = EmbeddingStore::from_store_bytes(s.to_json().as_bytes()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreFileError::BadMagic {
-                    looks_like_legacy_json: true
-                }
-            ),
-            "{err}"
-        );
-        assert!(err.to_string().contains("from_json"), "{err}");
-        // Arbitrary non-store bytes get the plain bad-magic error.
-        let err = EmbeddingStore::from_store_bytes(b"ELF\x7f....").unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreFileError::BadMagic {
-                    looks_like_legacy_json: false
-                }
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn store_file_rejects_corruption() {
-        let s = store();
-        let bytes = s.to_store_bytes();
-        // Every truncation is a typed error.
-        for cut in 0..bytes.len() {
-            assert!(
-                EmbeddingStore::from_store_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut} decoded"
-            );
-        }
-        // Any payload bit flip trips the CRC.
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x40;
-        assert!(matches!(
-            EmbeddingStore::from_store_bytes(&flipped).unwrap_err(),
-            StoreFileError::ChecksumMismatch | StoreFileError::Decode(_)
-        ));
-        // Version bumps are rejected.
-        let mut vbump = bytes.clone();
-        vbump[4] = 9;
-        assert!(matches!(
-            EmbeddingStore::from_store_bytes(&vbump).unwrap_err(),
-            StoreFileError::UnsupportedVersion(9)
-        ));
-        // Trailing bytes after the payload are rejected (CRC covers the
-        // declared payload, so extend-and-refresh is the hostile case).
-        let mut trailing = s.to_store_bytes();
-        trailing.push(0);
-        assert!(EmbeddingStore::from_store_bytes(&trailing).is_err());
-    }
-
-    #[test]
     fn empty_store_pca_is_safe() {
         let s = EmbeddingStore::new(5);
         let p = s.pca_project(2);
@@ -1042,11 +693,16 @@ mod tests {
             assert_eq!(dense.get(tok), stringly.get(tok));
             assert_eq!(dense.get_id(id), dense.get(tok));
         }
-        assert_eq!(dense.to_json(), stringly.to_json());
+    }
+
+    fn encoded(s: &EmbeddingStore) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        s.encode_aligned_into(&mut w);
+        w.into_bytes()
     }
 
     #[test]
-    fn binary_codec_round_trips_bit_exactly() {
+    fn aligned_codec_round_trips_bit_exactly() {
         let mut symbols = TokenInterner::new();
         let ids: Vec<TokenId> = ["a", "b", "skip", "c"]
             .iter()
@@ -1057,12 +713,8 @@ mod tests {
         s.insert_id(ids[0], vec![1.5, -0.0]);
         s.insert_id(ids[1], vec![f64::NAN, 2.0_f64.powi(-1022)]);
         s.insert_id(ids[3], vec![f64::INFINITY, -3.25]);
-        let mut w = ByteWriter::new();
-        s.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = EmbeddingStore::decode_with_symbols(&mut r, Arc::clone(&symbols)).unwrap();
-        assert!(r.is_exhausted());
+        let bytes = encoded(&s);
+        let back = EmbeddingStore::decode_aligned(&bytes, Arc::clone(&symbols)).unwrap();
         assert_eq!(back.len(), s.len());
         assert_eq!(back.dim(), s.dim());
         for &id in &ids {
@@ -1076,32 +728,33 @@ mod tests {
                 other => panic!("presence mismatch: {other:?}"),
             }
         }
+        // Fixed point: re-encoding the decoded store reproduces the bytes.
+        assert_eq!(encoded(&back), bytes);
     }
 
     #[test]
-    fn binary_codec_rejects_hostile_buffers() {
+    fn aligned_codec_rejects_hostile_buffers() {
         let mut symbols = TokenInterner::new();
         let id = symbols.intern("a");
         let symbols = Arc::new(symbols);
         let mut s = EmbeddingStore::with_symbols(Arc::clone(&symbols), 4);
         s.insert_id(id, vec![1.0; 4]);
-        let mut w = ByteWriter::new();
-        s.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        // Every truncation errors.
+        let bytes = encoded(&s);
+        // Every truncation errors, and so does a trailing byte.
         for cut in 0..bytes.len() {
-            let mut r = ByteReader::new(&bytes[..cut]);
-            assert!(EmbeddingStore::decode_with_symbols(&mut r, Arc::clone(&symbols)).is_err());
+            assert!(EmbeddingStore::decode_aligned(&bytes[..cut], Arc::clone(&symbols)).is_err());
         }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(EmbeddingStore::decode_aligned(&trailing, Arc::clone(&symbols)).is_err());
         // Inflated count: claims a million entries in a 12-byte buffer.
         let mut w = ByteWriter::new();
         w.put_u32(4);
         w.put_u32(1_000_000);
         w.put_u32(0);
         let b = w.into_bytes();
-        let mut r = ByteReader::new(&b);
         assert_eq!(
-            EmbeddingStore::decode_with_symbols(&mut r, Arc::clone(&symbols)).unwrap_err(),
+            EmbeddingStore::decode_aligned(&b, Arc::clone(&symbols)).unwrap_err(),
             DecodeError::LengthOverflow
         );
         // Id outside the symbol table.
@@ -1109,13 +762,13 @@ mod tests {
         w.put_u32(1);
         w.put_u32(1);
         w.put_u32(77);
+        w.pad_to(8);
         w.put_f64(0.0);
         let b = w.into_bytes();
-        let mut r = ByteReader::new(&b);
-        assert!(matches!(
-            EmbeddingStore::decode_with_symbols(&mut r, Arc::clone(&symbols)).unwrap_err(),
-            DecodeError::Invalid(_)
-        ));
+        assert_eq!(
+            EmbeddingStore::decode_aligned(&b, Arc::clone(&symbols)).unwrap_err(),
+            DecodeError::Invalid("store token outside symbol table")
+        );
     }
 
     #[test]

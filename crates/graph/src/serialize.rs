@@ -1,16 +1,19 @@
 //! Bounded binary (de)serialization of the refined graph.
 //!
-//! The graph is one chunk of the persistent model artifact (DESIGN.md
-//! §6.10): deployment featurization walks `neighbors`/`degree`/`value_node`
-//! at serving time, so the adjacency — CSR-style counts plus `(target,
-//! weight-bits)` pairs — must round-trip bitwise. Derived structures
-//! (`kinds`, the dense token→value-node map) are *reconstructed* from the
-//! primary data rather than stored, which both shrinks the artifact and
-//! removes a class of inconsistent-buffer states.
+//! The graph is the `GRPH` chunk of the persistent model artifact
+//! (DESIGN.md §6.10, §6.15): deployment featurization walks
+//! `neighbors`/`degree`/`value_node` at serving time, so the adjacency —
+//! aligned CSR offsets, targets and weight bits — must round-trip bitwise.
+//! Derived structures (`kinds`, the dense token→value-node map) are
+//! *reconstructed* from the primary data rather than stored, which both
+//! shrinks the artifact and removes a class of inconsistent-buffer states.
 //!
-//! Decoding follows the bounded-decode rules: counts are validated against
-//! the remaining buffer before any allocation, node/token references are
-//! range-checked, and all failures are typed [`DecodeError`]s.
+//! One layout parser ([`GraphLayout::parse`]) does every eager check for
+//! both load paths: counts are validated against the remaining buffer
+//! before any allocation, node/token references are range-checked, offsets
+//! must be monotone, and all failures are typed [`DecodeError`]s. The heap
+//! decode copies the CSR arrays out of the validated layout; the mapped
+//! view keeps their offsets.
 
 use crate::builder::{
     GraphAdjacency, LevaGraph, MappedAdjacency, NodeKind, RefineStats, ADJ_UNCHECKED, NO_VALUE_NODE,
@@ -74,297 +77,33 @@ pub(crate) fn validate_symmetry(
     Ok(())
 }
 
-impl LevaGraph {
-    /// Serializes the graph (without its symbol table, which the artifact
-    /// stores once and shares across chunks).
-    pub fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u32(u32::try_from(self.table_names.len()).expect("table count fits u32"));
-        for name in &self.table_names {
-            w.put_str(name);
-        }
-        for &off in &self.row_offsets {
-            w.put_u64(off as u64);
-        }
-        w.put_u64(self.n_row_nodes as u64);
-        w.put_u32(u32::try_from(self.node_tokens.len()).expect("node count fits u32"));
-        for &t in &self.node_tokens {
-            w.put_u32(t.raw());
-        }
-        for node in 0..self.node_tokens.len() as u32 {
-            let nbrs = self.neighbors(node);
-            w.put_u32(u32::try_from(nbrs.len()).expect("degree fits u32"));
-            for (v, weight) in nbrs {
-                w.put_u32(v);
-                w.put_f64(weight);
-            }
-        }
-        w.put_u64(self.stats.tokens_total as u64);
-        w.put_u64(self.stats.tokens_removed_missing as u64);
-        w.put_u64(self.stats.token_attrs_removed as u64);
-        w.put_u64(self.stats.singleton_tokens_skipped as u64);
-    }
+/// The validated geometry of an aligned `GRPH` payload (the layout of
+/// [`LevaGraph::encode_aligned_into`]): the small header decoded, the three
+/// CSR arrays located by payload-relative byte offsets. Shared by the heap
+/// decode and the zero-copy mapped view, so both accept exactly the same
+/// payloads.
+struct GraphLayout {
+    table_names: Vec<String>,
+    row_offsets: Vec<usize>,
+    n_row_nodes: usize,
+    node_tokens: Vec<TokenId>,
+    /// Byte offset of the `n_nodes + 1` `u64` CSR offsets (8-aligned).
+    offsets_at: usize,
+    /// Byte offset of the `n_edges` `u32` targets.
+    targets_at: usize,
+    /// Byte offset of the `n_edges` `f64` weights (8-aligned).
+    weights_at: usize,
+    /// Directed edge count (the last CSR offset).
+    n_edges: usize,
+    stats: RefineStats,
+}
 
-    /// Serializes the graph in the v3 *aligned CSR* layout: after the
-    /// variable-length table names, the adjacency is three contiguous
-    /// arrays — `u64` cumulative offsets, `u32` targets, `f64` weights —
-    /// each preceded by `pad_to(8)` so that, framed at an 8-aligned payload
-    /// offset, every array is naturally aligned in a file mapping. Decodes
-    /// with [`LevaGraph::decode_aligned`]; round-trips bitwise with the
-    /// nested v1/v2 layout.
-    pub fn encode_aligned_into(&self, w: &mut ByteWriter) {
-        w.put_u32(u32::try_from(self.table_names.len()).expect("table count fits u32"));
-        for name in &self.table_names {
-            w.put_str(name);
-        }
-        w.put_u64(self.n_row_nodes as u64);
-        w.put_u32(u32::try_from(self.node_tokens.len()).expect("node count fits u32"));
-        for &t in &self.node_tokens {
-            w.put_u32(t.raw());
-        }
-        w.pad_to(8);
-        w.put_u64_slice(
-            &self
-                .row_offsets
-                .iter()
-                .map(|&o| o as u64)
-                .collect::<Vec<_>>(),
-        );
-        w.put_u64_slice(self.adj.offsets());
-        w.put_u32_slice(self.adj.targets());
-        w.pad_to(8);
-        w.put_f64_slice(self.adj.weights());
-        w.put_u64_slice(&[
-            self.stats.tokens_total as u64,
-            self.stats.tokens_removed_missing as u64,
-            self.stats.token_attrs_removed as u64,
-            self.stats.singleton_tokens_skipped as u64,
-        ]);
-    }
-
-    /// Decodes the v3 aligned CSR layout (see
-    /// [`LevaGraph::encode_aligned_into`]) with the same validation set as
-    /// [`LevaGraph::decode`], plus CSR-offset monotonicity.
-    pub fn decode_aligned(
-        r: &mut ByteReader<'_>,
-        symbols: Arc<TokenInterner>,
-    ) -> Result<LevaGraph, DecodeError> {
-        let n_tables = r.take_count(4)?;
-        let mut table_names = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            table_names.push(r.take_str()?.to_owned());
-        }
-        let n_row_nodes = r.take_usize()?;
-        let n_nodes = r.take_count(4)?;
-        if n_row_nodes > n_nodes {
-            return Err(DecodeError::Invalid("row-node count exceeds node count"));
-        }
-        let mut node_tokens = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let raw = r.take_u32()?;
-            if raw as usize >= symbols.len() {
-                return Err(DecodeError::Invalid("node token outside symbol table"));
-            }
-            node_tokens.push(TokenId::from_index(raw as usize));
-        }
-        r.pad_to(8)?;
-        if r.remaining() < n_tables.saturating_mul(8) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut row_offsets = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            row_offsets.push(r.take_usize()?);
-        }
-        let mut prev = 0usize;
-        for &off in &row_offsets {
-            if off < prev || off > n_row_nodes {
-                return Err(DecodeError::Invalid("row offsets not monotonic"));
-            }
-            prev = off;
-        }
-        if n_row_nodes > 0 && row_offsets.first() != Some(&0) {
-            return Err(DecodeError::Invalid("first row offset must be zero"));
-        }
-        // CSR offsets: n_nodes + 1 monotone u64s bounding the edge count.
-        if r.remaining() < (n_nodes + 1).saturating_mul(8) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut offsets = Vec::with_capacity(n_nodes + 1);
-        for _ in 0..n_nodes + 1 {
-            offsets.push(r.take_usize()? as u64);
-        }
-        if offsets.first() != Some(&0) {
-            return Err(DecodeError::Invalid("first CSR offset must be zero"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(DecodeError::Invalid("CSR offsets not monotonic"));
-        }
-        let n_edges = *offsets.last().expect("offsets non-empty") as usize;
-        // Targets (4 bytes) + alignment + weights (8 bytes) must fit.
-        if n_edges
-            .checked_mul(12)
-            .is_none_or(|need| need > r.remaining())
-        {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let mut targets = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            let v = r.take_u32()?;
-            if v as usize >= n_nodes {
-                return Err(DecodeError::Invalid("adjacency target out of range"));
-            }
-            targets.push(v);
-        }
-        r.pad_to(8)?;
-        let mut weights = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            weights.push(r.take_f64()?);
-        }
-        let adj = GraphAdjacency::Heap {
-            offsets,
-            targets,
-            weights,
-        };
-        let stats = RefineStats {
-            tokens_total: r.take_usize()?,
-            tokens_removed_missing: r.take_usize()?,
-            token_attrs_removed: r.take_usize()?,
-            singleton_tokens_skipped: r.take_usize()?,
-        };
-        Self::reconstruct(
-            symbols,
-            table_names,
-            row_offsets,
-            n_row_nodes,
-            node_tokens,
-            adj,
-            stats,
-        )
-    }
-
-    /// Decodes a graph produced by [`LevaGraph::encode_into`], resolving
-    /// node identities through `symbols`. Rejects out-of-range token ids,
-    /// dangling adjacency targets, non-monotonic row offsets, and value
-    /// nodes sharing a token.
-    pub fn decode(
-        r: &mut ByteReader<'_>,
-        symbols: Arc<TokenInterner>,
-    ) -> Result<LevaGraph, DecodeError> {
-        let n_tables = r.take_count(4)?;
-        let mut table_names = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            table_names.push(r.take_str()?.to_owned());
-        }
-        if r.remaining() < n_tables.saturating_mul(8) {
-            return Err(DecodeError::Truncated);
-        }
-        let mut row_offsets = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            row_offsets.push(r.take_usize()?);
-        }
-        let n_row_nodes = r.take_usize()?;
-        let n_nodes = r.take_count(4)?;
-        if n_row_nodes > n_nodes {
-            return Err(DecodeError::Invalid("row-node count exceeds node count"));
-        }
-        // Row offsets must be monotonically non-decreasing and stay within
-        // the row-node range, or `row_node()` would index out of the graph.
-        let mut prev = 0usize;
-        for &off in &row_offsets {
-            if off < prev || off > n_row_nodes {
-                return Err(DecodeError::Invalid("row offsets not monotonic"));
-            }
-            prev = off;
-        }
-        if n_row_nodes > 0 && row_offsets.first() != Some(&0) {
-            return Err(DecodeError::Invalid("first row offset must be zero"));
-        }
-        let mut node_tokens = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let raw = r.take_u32()?;
-            if raw as usize >= symbols.len() {
-                return Err(DecodeError::Invalid("node token outside symbol table"));
-            }
-            node_tokens.push(TokenId::from_index(raw as usize));
-        }
-        let mut offsets = Vec::with_capacity(n_nodes + 1);
-        offsets.push(0u64);
-        let mut targets: Vec<u32> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        for _ in 0..n_nodes {
-            let deg = r.take_count(12)?;
-            targets.reserve(deg);
-            weights.reserve(deg);
-            for _ in 0..deg {
-                let v = r.take_u32()?;
-                if v as usize >= n_nodes {
-                    return Err(DecodeError::Invalid("adjacency target out of range"));
-                }
-                targets.push(v);
-                weights.push(r.take_f64()?);
-            }
-            offsets.push(targets.len() as u64);
-        }
-        let adj = GraphAdjacency::Heap {
-            offsets,
-            targets,
-            weights,
-        };
-        let stats = RefineStats {
-            tokens_total: r.take_usize()?,
-            tokens_removed_missing: r.take_usize()?,
-            token_attrs_removed: r.take_usize()?,
-            singleton_tokens_skipped: r.take_usize()?,
-        };
-
-        Self::reconstruct(
-            symbols,
-            table_names,
-            row_offsets,
-            n_row_nodes,
-            node_tokens,
-            adj,
-            stats,
-        )
-    }
-
-    /// Constructs a graph whose CSR adjacency is served zero-copy from the
-    /// mapped `GRPH` payload at `[payload_offset, payload_offset +
-    /// payload_len)` of `map` (the v3 aligned layout of
-    /// [`LevaGraph::encode_aligned_into`]).
-    ///
-    /// The variable-length header (table names, node tokens, row offsets)
-    /// is small and copied; the three flat adjacency arrays are viewed in
-    /// place. All *geometry* — bounds, 8-alignment, monotone offsets,
-    /// in-range targets — is validated eagerly so no later access can read
-    /// outside the mapping; the payload CRC and the adjacency symmetry
-    /// check settle lazily on [`LevaGraph::verify_mapped`], keeping load
-    /// O(header). Big-endian targets and heap-backed "mappings" cannot
-    /// view little-endian words in place and fall back to the eager
-    /// [`LevaGraph::decode_aligned`].
-    pub fn from_mapped(
-        symbols: Arc<TokenInterner>,
-        map: Arc<MmapFile>,
-        payload_offset: usize,
-        payload_len: usize,
-        crc: u32,
-    ) -> Result<LevaGraph, DecodeError> {
-        let end = payload_offset
-            .checked_add(payload_len)
-            .filter(|&e| e <= map.len())
-            .ok_or(DecodeError::LengthOverflow)?;
-        if !payload_offset.is_multiple_of(8) {
-            return Err(DecodeError::Invalid("GRPH payload not 8-aligned"));
-        }
-        let payload = &map[payload_offset..end];
-        if !cfg!(target_endian = "little") || !map.is_mapped() {
-            let mut r = ByteReader::new(payload);
-            let g = Self::decode_aligned(&mut r, symbols)?;
-            if !r.is_exhausted() {
-                return Err(DecodeError::Invalid("trailing bytes after graph"));
-            }
-            return Ok(g);
-        }
-        // Header parse, identical validation to `decode_aligned`.
+impl GraphLayout {
+    /// Parses and validates a whole `GRPH` payload against a symbol table
+    /// of `n_symbols` tokens: bounds, 8-alignment, monotone row and CSR
+    /// offsets, in-range node tokens and adjacency targets, and exact
+    /// length. The CRC and the symmetry audit are the callers' concern.
+    fn parse(payload: &[u8], n_symbols: usize) -> Result<Self, DecodeError> {
         let mut r = ByteReader::new(payload);
         let n_tables = r.take_count(4)?;
         let mut table_names = Vec::with_capacity(n_tables);
@@ -379,7 +118,7 @@ impl LevaGraph {
         let mut node_tokens = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             let raw = r.take_u32()?;
-            if raw as usize >= symbols.len() {
+            if raw as usize >= n_symbols {
                 return Err(DecodeError::Invalid("node token outside symbol table"));
             }
             node_tokens.push(TokenId::from_index(raw as usize));
@@ -388,32 +127,30 @@ impl LevaGraph {
         if r.remaining() < n_tables.saturating_mul(8) {
             return Err(DecodeError::Truncated);
         }
+        // Row offsets must be monotonically non-decreasing and stay within
+        // the row-node range, or `row_node()` would index out of the graph.
         let mut row_offsets = Vec::with_capacity(n_tables);
-        for _ in 0..n_tables {
-            row_offsets.push(r.take_usize()?);
-        }
         let mut prev = 0usize;
-        for &off in &row_offsets {
+        for _ in 0..n_tables {
+            let off = r.take_usize()?;
             if off < prev || off > n_row_nodes {
                 return Err(DecodeError::Invalid("row offsets not monotonic"));
             }
             prev = off;
+            row_offsets.push(off);
         }
         if n_row_nodes > 0 && row_offsets.first() != Some(&0) {
             return Err(DecodeError::Invalid("first row offset must be zero"));
         }
-        // CSR offsets: validated monotone by walking the raw words; the
-        // serving view then reads them in place. `consumed()` here is
-        // 8-aligned (pad_to above) and the payload starts 8-aligned, so
-        // the absolute offset is too.
-        let offsets_off = payload_offset + r.consumed();
+        // CSR offsets: n_nodes + 1 monotone u64s starting at zero; the last
+        // one is the directed edge count. `consumed()` is 8-aligned here
+        // (pad_to above), so the array is too.
+        let offsets_at = r.consumed();
         if r.remaining() < (n_nodes + 1).saturating_mul(8) {
             return Err(DecodeError::Truncated);
         }
-        let raw_offsets = r.take_raw((n_nodes + 1) * 8)?;
         let mut prev = 0u64;
-        for (i, word) in raw_offsets.chunks_exact(8).enumerate() {
-            let off = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        for (i, off) in u64_words(r.take_raw((n_nodes + 1) * 8)?).enumerate() {
             if i == 0 && off != 0 {
                 return Err(DecodeError::Invalid("first CSR offset must be zero"));
             }
@@ -423,24 +160,23 @@ impl LevaGraph {
             prev = off;
         }
         let n_edges = usize::try_from(prev).map_err(|_| DecodeError::LengthOverflow)?;
+        // Targets (4 bytes) + alignment + weights (8 bytes) must fit.
         if n_edges
             .checked_mul(12)
             .is_none_or(|need| need > r.remaining())
         {
             return Err(DecodeError::LengthOverflow);
         }
-        // Targets: eager in-range scan — a dangling node id must never be
-        // usable as an index, even before the lazy settle runs.
-        let targets_off = payload_offset + r.consumed();
-        let raw_targets = r.take_raw(n_edges * 4)?;
-        for word in raw_targets.chunks_exact(4) {
-            let v = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
+        // Targets: a dangling node id must never be usable as an index.
+        let targets_at = r.consumed();
+        for word in r.take_raw(n_edges * 4)?.chunks_exact(4) {
+            let v = u32::from_le_bytes(word.try_into().expect("4-byte word"));
             if v as usize >= n_nodes {
                 return Err(DecodeError::Invalid("adjacency target out of range"));
             }
         }
         r.pad_to(8)?;
-        let weights_off = payload_offset + r.consumed();
+        let weights_at = r.consumed();
         r.take_raw(n_edges * 8)?;
         let stats = RefineStats {
             tokens_total: r.take_usize()?,
@@ -451,44 +187,29 @@ impl LevaGraph {
         if !r.is_exhausted() {
             return Err(DecodeError::Invalid("trailing bytes after graph"));
         }
-        let adj = GraphAdjacency::Mapped(MappedAdjacency {
-            map,
-            offsets_off,
-            targets_off,
-            weights_off,
-            n_nodes,
-            n_directed: n_edges,
-            payload_offset,
-            payload_len,
-            crc,
-            verified: Arc::new(AtomicU8::new(ADJ_UNCHECKED)),
-        });
-        Self::reconstruct(
-            symbols,
+        Ok(Self {
             table_names,
             row_offsets,
             n_row_nodes,
             node_tokens,
-            adj,
+            offsets_at,
+            targets_at,
+            weights_at,
+            n_edges,
             stats,
-        )
+        })
     }
 
     /// Rebuilds the derived structures (`kinds`, the token→value-node map)
-    /// from the primary decoded data and assembles the graph. Kinds: nodes
-    /// below `n_row_nodes` are rows of the table whose offset range contains
-    /// them; the rest are value nodes. Heap adjacencies (the eager decode
-    /// paths) are symmetry-checked here; mapped ones defer that to the
+    /// from the validated layout and assembles the graph over `adj`. Kinds:
+    /// nodes below `n_row_nodes` are rows of the table whose offset range
+    /// contains them; the rest are value nodes. Heap adjacencies (the eager
+    /// decode) are symmetry-checked here; mapped ones defer that to the
     /// lazy CRC settle.
-    #[allow(clippy::too_many_arguments)]
-    fn reconstruct(
+    fn into_graph(
+        self,
         symbols: Arc<TokenInterner>,
-        table_names: Vec<String>,
-        row_offsets: Vec<usize>,
-        n_row_nodes: usize,
-        node_tokens: Vec<TokenId>,
         adj: GraphAdjacency,
-        stats: RefineStats,
     ) -> Result<LevaGraph, DecodeError> {
         if let GraphAdjacency::Heap {
             offsets,
@@ -498,6 +219,14 @@ impl LevaGraph {
         {
             validate_symmetry(offsets, targets, weights)?;
         }
+        let Self {
+            table_names,
+            row_offsets,
+            n_row_nodes,
+            node_tokens,
+            stats,
+            ..
+        } = self;
         let n_nodes = node_tokens.len();
         let mut kinds = Vec::with_capacity(n_nodes);
         let mut table = 0usize;
@@ -538,6 +267,128 @@ impl LevaGraph {
     }
 }
 
+/// Little-endian `u64` words of a byte slice whose length is a multiple of 8.
+fn u64_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte word")))
+}
+
+impl LevaGraph {
+    /// Serializes the graph (without its symbol table, which the artifact
+    /// stores once and shares across chunks) in the *aligned CSR* layout:
+    /// after the variable-length table names and node tokens, the row
+    /// offsets and the adjacency — `u64` cumulative offsets, `u32` targets,
+    /// `f64` weights — are contiguous arrays, each preceded by `pad_to(8)`
+    /// as needed so that, framed at an 8-aligned payload offset, every
+    /// array is naturally aligned in a file mapping.
+    pub fn encode_aligned_into(&self, w: &mut ByteWriter) {
+        w.put_u32(u32::try_from(self.table_names.len()).expect("table count fits u32"));
+        for name in &self.table_names {
+            w.put_str(name);
+        }
+        w.put_u64(self.n_row_nodes as u64);
+        w.put_u32(u32::try_from(self.node_tokens.len()).expect("node count fits u32"));
+        for &t in &self.node_tokens {
+            w.put_u32(t.raw());
+        }
+        w.pad_to(8);
+        w.put_u64_slice(
+            &self
+                .row_offsets
+                .iter()
+                .map(|&o| o as u64)
+                .collect::<Vec<_>>(),
+        );
+        w.put_u64_slice(self.adj.offsets());
+        w.put_u32_slice(self.adj.targets());
+        w.pad_to(8);
+        w.put_f64_slice(self.adj.weights());
+        w.put_u64_slice(&[
+            self.stats.tokens_total as u64,
+            self.stats.tokens_removed_missing as u64,
+            self.stats.token_attrs_removed as u64,
+            self.stats.singleton_tokens_skipped as u64,
+        ]);
+    }
+
+    /// Decodes a whole aligned `GRPH` payload (see
+    /// [`LevaGraph::encode_aligned_into`]) onto the heap, resolving node
+    /// identities through `symbols`. Runs the shared layout validation,
+    /// copies the CSR arrays out, and audits adjacency symmetry eagerly.
+    pub fn decode_aligned(
+        payload: &[u8],
+        symbols: Arc<TokenInterner>,
+    ) -> Result<LevaGraph, DecodeError> {
+        let layout = GraphLayout::parse(payload, symbols.len())?;
+        let n_edges = layout.n_edges;
+        let offsets =
+            u64_words(&payload[layout.offsets_at..][..(layout.node_tokens.len() + 1) * 8])
+                .collect();
+        let targets = payload[layout.targets_at..][..n_edges * 4]
+            .chunks_exact(4)
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4-byte word")))
+            .collect();
+        let weights = u64_words(&payload[layout.weights_at..][..n_edges * 8])
+            .map(f64::from_bits)
+            .collect();
+        layout.into_graph(
+            symbols,
+            GraphAdjacency::Heap {
+                offsets,
+                targets,
+                weights,
+            },
+        )
+    }
+
+    /// Constructs a graph whose CSR adjacency is served zero-copy from the
+    /// mapped `GRPH` payload at `[payload_offset, payload_offset +
+    /// payload_len)` of `map`.
+    ///
+    /// The variable-length header (table names, node tokens, row offsets)
+    /// is small and copied; the three flat adjacency arrays are viewed in
+    /// place. The shared layout validation runs eagerly, so no later access
+    /// can read outside the mapping; the payload CRC and the adjacency
+    /// symmetry check settle lazily on [`LevaGraph::verify_mapped`],
+    /// keeping load O(header). Big-endian targets and heap-backed
+    /// "mappings" cannot view little-endian words in place and fall back
+    /// to the eager [`LevaGraph::decode_aligned`].
+    pub fn from_mapped(
+        symbols: Arc<TokenInterner>,
+        map: Arc<MmapFile>,
+        payload_offset: usize,
+        payload_len: usize,
+        crc: u32,
+    ) -> Result<LevaGraph, DecodeError> {
+        let end = payload_offset
+            .checked_add(payload_len)
+            .filter(|&e| e <= map.len())
+            .ok_or(DecodeError::LengthOverflow)?;
+        if !payload_offset.is_multiple_of(8) {
+            return Err(DecodeError::Invalid("GRPH payload not 8-aligned"));
+        }
+        let payload = &map[payload_offset..end];
+        if !cfg!(target_endian = "little") || !map.is_mapped() {
+            return Self::decode_aligned(payload, symbols);
+        }
+        let layout = GraphLayout::parse(payload, symbols.len())?;
+        let adj = GraphAdjacency::Mapped(MappedAdjacency {
+            offsets_off: payload_offset + layout.offsets_at,
+            targets_off: payload_offset + layout.targets_at,
+            weights_off: payload_offset + layout.weights_at,
+            n_nodes: layout.node_tokens.len(),
+            n_directed: layout.n_edges,
+            map,
+            payload_offset,
+            payload_len,
+            crc,
+            verified: Arc::new(AtomicU8::new(ADJ_UNCHECKED)),
+        });
+        layout.into_graph(symbols, adj)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,20 +414,16 @@ mod tests {
         )
     }
 
-    fn round_trip(g: &LevaGraph) -> LevaGraph {
+    fn encoded(g: &LevaGraph) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        g.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = LevaGraph::decode(&mut r, Arc::clone(g.symbols())).unwrap();
-        assert!(r.is_exhausted());
-        back
+        g.encode_aligned_into(&mut w);
+        w.into_bytes()
     }
 
     #[test]
-    fn codec_round_trip_is_bitwise() {
+    fn aligned_codec_round_trip_is_bitwise() {
         let g = graph();
-        let back = round_trip(&g);
+        let back = LevaGraph::decode_aligned(&encoded(&g), Arc::clone(g.symbols())).unwrap();
         assert_eq!(back.n_nodes(), g.n_nodes());
         assert_eq!(back.n_row_nodes(), g.n_row_nodes());
         assert_eq!(back.table_names(), g.table_names());
@@ -599,73 +446,30 @@ mod tests {
     }
 
     #[test]
-    fn aligned_codec_round_trip_is_bitwise() {
-        let g = graph();
-        let mut w = ByteWriter::new();
-        g.encode_aligned_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        let back = LevaGraph::decode_aligned(&mut r, Arc::clone(g.symbols())).unwrap();
-        assert!(r.is_exhausted());
-        assert_eq!(back.n_nodes(), g.n_nodes());
-        assert_eq!(back.n_row_nodes(), g.n_row_nodes());
-        assert_eq!(back.table_names(), g.table_names());
-        assert_eq!(back.stats(), g.stats());
-        for node in 0..g.n_nodes() as u32 {
-            assert_eq!(back.kind(node), g.kind(node));
-            assert_eq!(back.token(node), g.token(node));
-            let (a, b) = (g.neighbors(node), back.neighbors(node));
-            assert_eq!(a.len(), b.len());
-            for ((v1, w1), (v2, w2)) in a.iter().zip(b) {
-                assert_eq!(v1, v2);
-                assert_eq!(w1.to_bits(), w2.to_bits(), "weight bits differ");
-            }
-        }
-        assert_eq!(back.value_node("u3"), g.value_node("u3"));
-        assert_eq!(back.row_node(1, 5), g.row_node(1, 5));
-    }
-
-    #[test]
     fn aligned_truncation_and_flips_never_panic() {
         let g = graph();
-        let mut w = ByteWriter::new();
-        g.encode_aligned_into(&mut w);
-        let mut bytes = w.into_bytes();
+        let mut bytes = encoded(&g);
+        // Every cut is a typed error: the layout demands the exact length.
         for cut in 0..bytes.len() {
-            let mut r = ByteReader::new(&bytes[..cut]);
             assert!(
-                LevaGraph::decode_aligned(&mut r, Arc::clone(g.symbols())).is_err(),
+                LevaGraph::decode_aligned(&bytes[..cut], Arc::clone(g.symbols())).is_err(),
                 "cut at {cut} decoded"
             );
         }
+        // Flipping bytes anywhere must never panic (errors are fine; some
+        // flips still decode — the artifact layer's CRC catches those).
         for i in (0..bytes.len()).step_by(7) {
             bytes[i] ^= 0x5a;
-            let mut r = ByteReader::new(&bytes);
-            let _ = LevaGraph::decode_aligned(&mut r, Arc::clone(g.symbols()));
+            let _ = LevaGraph::decode_aligned(&bytes, Arc::clone(g.symbols()));
             bytes[i] ^= 0x5a;
-        }
-    }
-
-    #[test]
-    fn truncation_never_panics() {
-        let g = graph();
-        let mut w = ByteWriter::new();
-        g.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            let mut r = ByteReader::new(&bytes[..cut]);
-            assert!(
-                LevaGraph::decode(&mut r, Arc::clone(g.symbols())).is_err(),
-                "cut at {cut} decoded"
-            );
         }
     }
 
     #[test]
     fn asymmetric_adjacency_rejected() {
-        // Hand-build a 2-node "graph" with a one-directional edge; both
-        // codec layouts must reject it even though offsets are monotone
-        // and targets in range.
+        // Hand-build a 2-node "graph" with a one-directional edge; it must
+        // be rejected even though offsets are monotone and targets in
+        // range.
         assert!(validate_symmetry(&[0, 1, 1], &[1], &[0.5]).is_err());
         // Degree-symmetric but weight-skewed: 0->1 at 0.5, 1->0 at 0.25.
         assert!(validate_symmetry(&[0, 1, 2], &[1, 0], &[0.5, 0.25]).is_err());
@@ -681,27 +485,13 @@ mod tests {
 
     #[test]
     fn dangling_references_rejected() {
+        // Decoded against an empty symbol table, every node token is out
+        // of range.
         let g = graph();
-        // Token id beyond the symbol table.
-        let mut w = ByteWriter::new();
-        g.encode_into(&mut w);
-        let mut bytes = w.into_bytes();
-        // Locate the first node token: after table names + offsets +
-        // n_row_nodes + node count. Easier: decode against a *smaller*
-        // symbol table so every token is out of range.
         let tiny = Arc::new(TokenInterner::new());
-        let mut r = ByteReader::new(&bytes);
-        assert!(matches!(
-            LevaGraph::decode(&mut r, tiny).unwrap_err(),
-            DecodeError::Invalid(_) | DecodeError::Truncated | DecodeError::LengthOverflow
-        ));
-        // Flipping bytes anywhere must never panic (errors are fine; some
-        // flips still decode — the artifact layer's CRC catches those).
-        for i in (0..bytes.len()).step_by(7) {
-            bytes[i] ^= 0x5a;
-            let mut r = ByteReader::new(&bytes);
-            let _ = LevaGraph::decode(&mut r, Arc::clone(g.symbols()));
-            bytes[i] ^= 0x5a;
-        }
+        assert_eq!(
+            LevaGraph::decode_aligned(&encoded(&g), tiny).unwrap_err(),
+            DecodeError::Invalid("node token outside symbol table")
+        );
     }
 }

@@ -48,13 +48,6 @@ impl ByteWriter {
         Self::default()
     }
 
-    /// Empty writer with a capacity hint.
-    pub fn with_capacity(cap: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
     /// Finishes and returns the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

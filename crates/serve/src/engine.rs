@@ -203,15 +203,16 @@ impl Engine {
         Ok(stamp)
     }
 
-    /// Memory-maps an artifact file and hot-swaps it in: the store is
-    /// served zero-copy from the mapping (aligned v3 artifacts), so swap
-    /// cost is independent of store size. The identity checksum is the
-    /// CRC-32 of the *file bytes*, computed in one streaming pass — for
-    /// an artifact written by [`LevaModel::save`] this equals the
-    /// re-serialization checksum [`ServingModel::prepare`] would stamp,
-    /// because the encoder is canonical. Legacy v1/v2 files decode
-    /// through the heap path but still swap in with their file-byte
-    /// checksum.
+    /// Memory-maps an artifact file and hot-swaps it in: the store and the
+    /// graph adjacency are served zero-copy from the mapping, so swap cost
+    /// is independent of their size. The deferred `STOR`/`GRPH` checks
+    /// ([`LevaModel::verify_deferred`]) settle before the swap, so a
+    /// corrupt file is rejected while the previous model keeps serving.
+    /// The identity checksum is the CRC-32 of the *file bytes*, computed
+    /// in one streaming pass — for an artifact written by
+    /// [`LevaModel::save`] this equals the re-serialization checksum
+    /// [`ServingModel::prepare`] would stamp, because the encoder is
+    /// canonical.
     pub fn swap_from_path(&self, path: &std::path::Path) -> Result<(u64, u32), ServeError> {
         let (checksum, artifact_bytes) = match hash_file(path) {
             Ok(stamp) => stamp,
@@ -231,17 +232,9 @@ impl Engine {
         // but a hot swap must never replace a healthy model with one whose
         // every request would fail a checksum — settle both now, while the
         // previous model still serves.
-        if !model.store.verify_mapped() {
+        if let Err(e) = model.verify_deferred() {
             self.metrics.swaps_rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Artifact(ArtifactError::ChecksumMismatch {
-                chunk: "STOR".to_owned(),
-            }));
-        }
-        if !model.graph.verify_mapped() {
-            self.metrics.swaps_rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Artifact(ArtifactError::ChecksumMismatch {
-                chunk: "GRPH".to_owned(),
-            }));
+            return Err(ServeError::Artifact(e));
         }
         let stamp = self.handle.swap_with(|version| {
             ServingModel::prepare_mapped(model, version, checksum, artifact_bytes)

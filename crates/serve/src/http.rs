@@ -304,11 +304,11 @@ fn swap_body(engine: &Arc<Engine>, body: &[u8]) -> Result<(u64, u32), ServeError
     if body.first() == Some(&b'{') {
         let text = std::str::from_utf8(body)
             .map_err(|_| ServeError::Protocol("swap body is not UTF-8".into()))?;
-        let doc = leva_embedding::json::parse(text)
+        let doc = crate::json::parse(text)
             .map_err(|e| ServeError::Protocol(format!("invalid swap JSON: {e}")))?;
         let path = doc
             .get("path")
-            .and_then(leva_embedding::json::Value::as_str)
+            .and_then(crate::json::Value::as_str)
             .ok_or_else(|| ServeError::Protocol("swap JSON needs a \"path\" string".into()))?;
         engine.swap_from_path(std::path::Path::new(path))
     } else {

@@ -37,6 +37,7 @@
 mod config;
 mod engine;
 mod http;
+pub mod json;
 mod metrics;
 mod model;
 pub mod wire;

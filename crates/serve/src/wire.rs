@@ -1,7 +1,7 @@
 //! Wire codecs for the two client protocols:
 //!
 //! * **JSON** — `POST /featurize` bodies and responses, built on the
-//!   shared hand-rolled parser in `leva_embedding::json`.
+//!   crate's hand-rolled [`json`](crate::json) reader/writer.
 //! * **Binary** — a compact length-prefixed framing for high-throughput
 //!   clients, built on the bounded `leva_interner::codec` reader/writer.
 //!   A binary session opens with the 4-byte magic [`BINARY_MAGIC`] and
@@ -10,8 +10,8 @@
 //! Both protocols encode exactly the library's [`FeaturizeRequest`] type:
 //! the server has no featurization entry point of its own.
 
+use crate::json;
 use leva::{Featurization, FeaturizeRequest, IngestOptions, RowSource};
-use leva_embedding::json;
 use leva_interner::codec::{ByteReader, ByteWriter};
 use leva_linalg::Matrix;
 use leva_relational::{Table, Value};

@@ -7,10 +7,10 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use leva::{Featurization, FeaturizeRequest, Leva, LevaConfig, LevaModel};
-use leva_embedding::json;
 use leva_interner::codec::crc32;
 use leva_linalg::Matrix;
 use leva_relational::{Database, Table, Value};
+use leva_serve::json;
 use leva_serve::{wire, Engine, ServeConfig, Server};
 
 fn db(rows: usize, scale: f64) -> Database {

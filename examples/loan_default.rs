@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example loan_default`
 
-use leva::{EmbeddingMethod, Featurization, Leva, LevaConfig};
+use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_baselines::{assemble_base, assemble_full, target_vector, TableFeaturizer};
 use leva_datasets::financial;
 use leva_linalg::Matrix;
@@ -75,8 +75,13 @@ fn main() {
         .target("status")
         .fit(&train_db)
         .unwrap();
-    let x_train = model.featurize_base(Featurization::RowPlusValue);
-    let x_test = model.featurize_external(&test_base, Featurization::RowPlusValue);
+    let feat = Featurization::RowPlusValue;
+    let x_train = model
+        .featurize(&FeaturizeRequest::base_all(feat))
+        .expect("in-memory model featurizes");
+    let x_test = model
+        .featurize(&FeaturizeRequest::external(test_base.clone(), feat))
+        .expect("in-memory model featurizes");
     let acc_emb = train_lr(&x_train, &y_train, &x_test, &y_test);
     println!("Leva embedding (MF):  accuracy {acc_emb:.3}   (zero human effort)");
 

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example molecule_regression`
 
-use leva::{EmbeddingMethod, Featurization, Leva, LevaConfig};
+use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_baselines::target_vector;
 use leva_datasets::bio;
 use leva_ml::{mae, ElasticNet, Model, Standardizer};
@@ -56,8 +56,12 @@ fn main() {
     );
 
     for feat in [Featurization::RowOnly, Featurization::RowPlusValue] {
-        let x_train = model.featurize_base(feat);
-        let x_test = model.featurize_external(&test_base, feat);
+        let x_train = model
+            .featurize(&FeaturizeRequest::base_all(feat))
+            .expect("in-memory model featurizes");
+        let x_test = model
+            .featurize(&FeaturizeRequest::external(test_base.clone(), feat))
+            .expect("in-memory model featurizes");
         let s = Standardizer::fit(&x_train);
         let mut en = ElasticNet::new(1e-3, 0.5);
         en.fit(&s.transform(&x_train), &y_train);

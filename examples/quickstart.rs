@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use leva::{Featurization, Leva, LevaConfig};
+use leva::{Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_ml::{accuracy, ForestConfig, Model, RandomForest};
 use leva_relational::{Database, ForeignKey, Table, Value};
 
@@ -74,7 +74,9 @@ fn main() {
 
     // 3. Featurize the base table and train a random forest on the
     //    embedding features.
-    let x = model.featurize_base(Featurization::RowPlusValue);
+    let x = model
+        .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
+        .expect("in-memory model featurizes");
     let y: Vec<f64> = (0..120).map(|i| f64::from(i % 3 == 0)).collect();
     let (train, test): (Vec<usize>, Vec<usize>) = (0..120).partition(|i| i % 5 != 0);
     let select = |rows: &[usize]| {

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example save_load`
 
-use leva::{Featurization, Leva, LevaConfig, LevaModel};
+use leva::{Featurization, FeaturizeRequest, Leva, LevaConfig, LevaModel};
 use leva_relational::{Database, Table, Value};
 
 fn main() {
@@ -48,8 +48,13 @@ fn main() {
     // 3. In a serving process: load and featurize. No database, no
     //    re-training — the artifact is self-contained.
     let served = LevaModel::load(&path).expect("artifact loads");
-    let x_fit = model.featurize_base(Featurization::RowPlusValue);
-    let x_served = served.featurize_base(Featurization::RowPlusValue);
+    // Every featurization goes through one entry point, `featurize`, which
+    // takes a request naming the rows and the featurization.
+    let all_rows = FeaturizeRequest::base_all(Featurization::RowPlusValue);
+    let x_fit = model.featurize(&all_rows).expect("fitted model featurizes");
+    let x_served = served
+        .featurize(&all_rows)
+        .expect("loaded model featurizes");
     let identical = (0..x_fit.rows()).all(|r| {
         x_fit
             .row(r)
@@ -71,21 +76,27 @@ fn main() {
     incoming
         .push_row(vec!["brand_new".into(), "apac".into(), Value::Float(9e9)])
         .unwrap();
-    let feats = served.featurize_external(&incoming, Featurization::RowPlusValue);
+    let feats = served
+        .featurize(&FeaturizeRequest::external(
+            incoming,
+            Featurization::RowPlusValue,
+        ))
+        .expect("loaded model featurizes");
     println!(
         "external featurization: {} rows x {} features",
         feats.rows(),
         feats.cols()
     );
 
-    // 5. A serving loop that can't hold the whole table in memory streams
-    //    it in fixed-size chunks; each chunk is featurized in parallel and
-    //    the concatenation is bitwise identical to the one-shot call.
-    let mut streamed = 0;
-    for chunk in served.featurize_batch(&incoming, 1, Featurization::RowPlusValue) {
-        streamed += chunk.rows();
-    }
-    println!("streamed featurization covered {streamed} rows in chunks of 1");
+    // 5. Base rows can be addressed by index; a bad index fails the whole
+    //    request with a typed error instead of a silent zero row.
+    let err = served
+        .featurize(&FeaturizeRequest::base_rows(
+            vec![0, 1_000],
+            Featurization::RowOnly,
+        ))
+        .unwrap_err();
+    println!("out-of-range row rejected: {err}");
 
     // 6. Corruption is detected, never silently served.
     let mut corrupt = std::fs::read(&path).unwrap();

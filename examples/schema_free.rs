@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --release --example schema_free`
 
-use leva::{Featurization, Leva, LevaConfig};
+use leva::{Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_relational::{Database, Table, Value};
 
 fn build_db() -> Database {
@@ -94,11 +94,13 @@ fn main() {
 
     // 3. The bridge is visible in the embeddings: readings rows now sit in
     //    one connected component with the machines rows they join to.
-    let x = model.featurize_base(Featurization::RowPlusValue);
+    let x = model
+        .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
+        .expect("in-memory model featurizes");
     println!("featurized base: {} rows x {} features", x.rows(), x.cols());
 
-    // 4. The discovered relationships persist in the artifact (a `DISC`
-    //    chunk, format v2) and come back exactly on load.
+    // 4. The discovered relationships persist in the artifact (its `DISC`
+    //    chunk) and come back exactly on load.
     let bytes = model.to_bytes();
     let back = leva::LevaModel::from_bytes(&bytes).expect("artifact loads");
     assert_eq!(back.discovered, model.discovered);

@@ -46,6 +46,10 @@ echo "==> exp_incremental (delta-ingestion benchmark -> results/BENCH_10.json)"
 cargo build --release -q -p leva-bench --bin exp_incremental
 ./target/release/exp_incremental --scale 0.2 >/dev/null
 
+echo "==> bench_all (the repository benchmark builds and its own tests pass against the current API)"
+cargo build --release --manifest-path bench_all/Cargo.toml
+cargo test -q --manifest-path bench_all/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -6,7 +6,7 @@
 //! Seeded case generation with plain assertions (the workspace builds
 //! offline, without proptest); failures name the replayable case seed.
 
-use leva::{ArtifactError, Featurization, Leva, LevaConfig, LevaModel};
+use leva::{ArtifactError, Featurization, FeaturizeRequest, Leva, LevaConfig, LevaModel};
 use leva_relational::{Database, Table, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,7 +59,13 @@ fn fit(db: &Database, with_target: bool) -> LevaModel {
     builder.fit(db).expect("pipeline runs")
 }
 
-fn assert_bitwise(case: u64, a: &leva_linalg::Matrix, b: &leva_linalg::Matrix, what: &str) {
+/// Featurizes `request` on both models and asserts bitwise equality.
+fn assert_bitwise(case: u64, ma: &LevaModel, mb: &LevaModel, request: FeaturizeRequest) {
+    let what = format!("{:?} {:?}", request.source, request.feat);
+    let (a, b) = (
+        ma.featurize(&request).unwrap(),
+        mb.featurize(&request).unwrap(),
+    );
     assert_eq!(a.rows(), b.rows(), "case {case}: {what} row count");
     assert_eq!(a.cols(), b.cols(), "case {case}: {what} col count");
     for r in 0..a.rows() {
@@ -87,12 +93,7 @@ fn random_models_round_trip_bitwise() {
             .unwrap_or_else(|e| panic!("case {case}: artifact failed to load: {e}"));
 
         for feat in [Featurization::RowOnly, Featurization::RowPlusValue] {
-            assert_bitwise(
-                case,
-                &model.featurize_base(feat),
-                &back.featurize_base(feat),
-                "featurize_base",
-            );
+            assert_bitwise(case, &model, &back, FeaturizeRequest::base_all(feat));
         }
         // External featurization exercises the restored encoders (training
         // histograms) and the graph's value-node map on unseen input.
@@ -103,9 +104,9 @@ fn random_models_round_trip_bitwise() {
             .unwrap();
         assert_bitwise(
             case,
-            &model.featurize_external(&ext, Featurization::RowPlusValue),
-            &back.featurize_external(&ext, Featurization::RowPlusValue),
-            "featurize_external",
+            &model,
+            &back,
+            FeaturizeRequest::external(ext, Featurization::RowPlusValue),
         );
         assert_eq!(
             back.to_bytes(),
@@ -115,7 +116,7 @@ fn random_models_round_trip_bitwise() {
     }
 }
 
-/// Discovery-enabled models (v2 artifacts carrying a `DISC` chunk) are a
+/// Discovery-enabled models (artifacts whose `DISC` chunk is non-empty) are a
 /// serialization fixed point too: the discovered relationships and the
 /// injection counters restore exactly, featurization is bitwise identical,
 /// and re-serializing reproduces the bytes.
@@ -159,9 +160,9 @@ fn discovery_models_round_trip_bitwise() {
     assert_eq!(back.config.discovery, model.config.discovery);
     assert_bitwise(
         0,
-        &model.featurize_base(Featurization::RowPlusValue),
-        &back.featurize_base(Featurization::RowPlusValue),
-        "featurize_base (discovery)",
+        &model,
+        &back,
+        FeaturizeRequest::base_all(Featurization::RowPlusValue),
     );
     assert_eq!(
         back.to_bytes(),
@@ -253,7 +254,7 @@ fn hostile_headers_are_typed_and_bounded() {
 /// Regression for a reviewer PoC: a crafted, CRC-valid artifact whose TOKD
 /// chunk declares more base-table rows than the GRPH chunk has row nodes
 /// used to load fine and then panic (index out of bounds) on the first
-/// `featurize_base`. Cross-chunk validation now rejects it at load with a
+/// whole-base-table featurization. Cross-chunk validation now rejects it at load with a
 /// typed error, and even a model mutated into that state in memory
 /// featurizes without panicking.
 #[test]
@@ -282,9 +283,9 @@ fn crafted_cross_chunk_mismatch_is_rejected_at_load() {
     // The deploy paths themselves are panic-free even on the mutated
     // in-memory model (out-of-graph rows featurize to zero vectors).
     let result = catch_unwind(AssertUnwindSafe(|| {
-        model.featurize_base(Featurization::RowPlusValue)
+        model.featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
     }));
-    assert!(result.is_ok(), "featurize_base panicked on mutated model");
+    assert!(result.is_ok(), "featurize panicked on mutated model");
 }
 
 /// A STOR chunk whose dimensionality contradicts CONF (as when chunks are

@@ -3,9 +3,12 @@
 //! count, and `threads = 1` with `LevaConfig::fast()` must keep matching
 //! the frozen golden fingerprint below.
 
-use leva::{EmbeddingMethod, Featurization, Leva, LevaConfig, LevaError, LevaModel};
+use leva::{
+    EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig, LevaError, LevaModel,
+};
 use leva_embedding::{build_mf_embedding, generate_walks, MfConfig, WalkConfig};
 use leva_graph::build_graph;
+use leva_linalg::Matrix;
 use leva_relational::{Database, Table, Value};
 use leva_textify::{textify, TextifyConfig};
 use rand::rngs::StdRng;
@@ -277,6 +280,10 @@ fn fit_arb(db: &Database, threads: usize) -> LevaModel {
         .unwrap()
 }
 
+fn featurize(model: &LevaModel, request: FeaturizeRequest) -> Matrix {
+    model.featurize(&request).unwrap()
+}
+
 /// The precomputed serving featurizer agrees with the reference two-hop
 /// walk to ≤1e-12 per element on seeded random databases — both the
 /// in-graph and the external path, both featurizations. (Bitwise equality
@@ -290,7 +297,7 @@ fn cached_featurizer_matches_naive_walk_on_random_dbs() {
         let n = db.table("base").unwrap().row_count();
         let rows: Vec<usize> = (0..n).collect();
         for feat in [Featurization::RowOnly, Featurization::RowPlusValue] {
-            let cached = model.featurize_base_rows(&rows, feat);
+            let cached = featurize(&model, FeaturizeRequest::base_rows(rows.clone(), feat));
             let walk = model.featurize_base_rows_walk(&rows, feat);
             for r in 0..n {
                 for (c, (a, b)) in cached.row(r).iter().zip(walk.row(r)).enumerate() {
@@ -302,7 +309,10 @@ fn cached_featurizer_matches_naive_walk_on_random_dbs() {
             }
         }
         let ext = db.table("base").unwrap().drop_columns(&["target"]).unwrap();
-        let cached = model.featurize_external(&ext, Featurization::RowPlusValue);
+        let cached = featurize(
+            &model,
+            FeaturizeRequest::external(ext.clone(), Featurization::RowPlusValue),
+        );
         let walk = model.featurize_external_walk(&ext, Featurization::RowPlusValue);
         for r in 0..n {
             for (a, b) in cached.row(r).iter().zip(walk.row(r)) {
@@ -376,7 +386,7 @@ fn cached_featurizer_matches_walk_on_confidence_weighted_graphs() {
     let n = db.table("base").unwrap().row_count();
     let rows: Vec<usize> = (0..n).collect();
     for feat in [Featurization::RowOnly, Featurization::RowPlusValue] {
-        let cached = model.featurize_base_rows(&rows, feat);
+        let cached = featurize(&model, FeaturizeRequest::base_rows(rows.clone(), feat));
         let walk = model.featurize_base_rows_walk(&rows, feat);
         for r in 0..n {
             for (c, (a, b)) in cached.row(r).iter().zip(walk.row(r)).enumerate() {
@@ -388,7 +398,10 @@ fn cached_featurizer_matches_walk_on_confidence_weighted_graphs() {
         }
     }
     let ext = db.table("base").unwrap().drop_columns(&["target"]).unwrap();
-    let cached = model.featurize_external(&ext, Featurization::RowPlusValue);
+    let cached = featurize(
+        &model,
+        FeaturizeRequest::external(ext.clone(), Featurization::RowPlusValue),
+    );
     let walk = model.featurize_external_walk(&ext, Featurization::RowPlusValue);
     for r in 0..n {
         for (a, b) in cached.row(r).iter().zip(walk.row(r)) {
@@ -400,44 +413,38 @@ fn cached_featurizer_matches_walk_on_confidence_weighted_graphs() {
     }
 }
 
-/// Batch featurization shards rows over thread bands; the output must be
-/// bitwise identical at 1, 2, and 8 threads, on every serving path
-/// (in-graph batch, external one-shot, external streamed).
+/// Featurization shards rows over thread bands; the output must be
+/// bitwise identical at 1, 2, and 8 threads, for every row source.
 #[test]
 fn featurization_bitwise_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(0xFEA7_1000);
     let db = arb_db(&mut rng);
     let ext = db.table("base").unwrap().drop_columns(&["target"]).unwrap();
+    let n = ext.row_count();
+    let feat = Featurization::RowPlusValue;
+    let requests = [
+        FeaturizeRequest::base_all(feat),
+        FeaturizeRequest::base_rows((0..n).rev().step_by(3).collect(), feat),
+        FeaturizeRequest::external(ext, feat),
+    ];
     let reference = fit_arb(&db, 1);
-    let base_ref = reference.featurize_base(Featurization::RowPlusValue);
-    let ext_ref = reference.featurize_external(&ext, Featurization::RowPlusValue);
     for threads in [2usize, 8] {
         let model = fit_arb(&db, threads);
-        let base = model.featurize_base(Featurization::RowPlusValue);
-        for r in 0..base_ref.rows() {
-            for (a, b) in base.row(r).iter().zip(base_ref.row(r)) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "featurize_base diverged at {threads} threads, row {r}"
-                );
-            }
-        }
-        let mut seen = 0usize;
-        for chunk in model.featurize_batch(&ext, 5, Featurization::RowPlusValue) {
-            for r in 0..chunk.rows() {
-                for (a, b) in chunk.row(r).iter().zip(ext_ref.row(seen + r)) {
+        for request in &requests {
+            let want = featurize(&reference, request.clone());
+            let got = featurize(&model, request.clone());
+            assert_eq!(got.rows(), want.rows());
+            for r in 0..want.rows() {
+                for (a, b) in got.row(r).iter().zip(want.row(r)) {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
-                        "featurize_batch diverged at {threads} threads, row {}",
-                        seen + r
+                        "{:?} diverged at {threads} threads, row {r}",
+                        request.source
                     );
                 }
             }
-            seen += chunk.rows();
         }
-        assert_eq!(seen, ext_ref.rows());
     }
 }
 

@@ -6,7 +6,7 @@
 //! *typed* error (`RelationalError` / `LevaError`) — never a panic. The
 //! corpus generator is seeded, so every failure names a replayable case.
 
-use leva::{Featurization, IngestOptions, Leva, LevaConfig, LevaError};
+use leva::{Featurization, FeaturizeRequest, IngestOptions, Leva, LevaConfig, LevaError};
 use leva_relational::{csv, Database, RelationalError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -208,8 +208,9 @@ fn drive(class: Corruption, case: u64, bytes: &[u8]) -> Result<(), String> {
             .base_table(name)
             .fit(&db);
         if let Ok(model) = fitted {
-            let _ = model.featurize_base(Featurization::RowPlusValue);
-            let _ = model.featurize_external(&table, Featurization::RowPlusValue);
+            let feat = Featurization::RowPlusValue;
+            let _ = model.featurize(&FeaturizeRequest::base_all(feat));
+            let _ = model.featurize(&FeaturizeRequest::external(table.clone(), feat));
         }
     })?;
     Ok(())
@@ -320,7 +321,8 @@ fn zero_padded_join_keys_survive_textification() {
 /// same contract as CSV ingestion — arbitrary bytes produce a typed
 /// `ArtifactError`, never a panic or an unbounded allocation. Three buffer
 /// families: pure random bytes, random bytes behind a valid magic+version
-/// header, and a genuine artifact with a burst of random mutations.
+/// header (so they reach the chunk walker), and a genuine artifact with a
+/// burst of random mutations.
 #[test]
 fn hostile_artifact_buffers_never_panic() {
     use leva::LevaModel;
@@ -340,7 +342,7 @@ fn hostile_artifact_buffers_never_panic() {
                 .map(|_| rng.gen_range(0u32..256) as u8)
                 .collect(),
             1 => {
-                let mut b = b"LEVA\x01\x00\x00\x00".to_vec();
+                let mut b = b"LEVA\x03\x00\x00\x00".to_vec();
                 b.extend((0..rng.gen_range(0usize..512)).map(|_| rng.gen_range(0u32..256) as u8));
                 b
             }
@@ -367,12 +369,15 @@ fn hostile_artifact_buffers_never_panic() {
                 // deploy path can index out of bounds, whatever survived the
                 // mutations.
                 let served = catch_unwind(AssertUnwindSafe(|| {
-                    let _ = loaded.featurize_base(Featurization::RowPlusValue);
-                    let _ = loaded.featurize_base_rows(&[0, 1, usize::MAX], Featurization::RowOnly);
                     let mut ext = leva_relational::Table::new("probe", vec!["id", "grp", "v"]);
                     let _ = ext.push_row(vec!["a".into(), "x".into(), "1".into()]);
-                    for chunk in loaded.featurize_batch(&ext, 1, Featurization::RowPlusValue) {
-                        let _ = chunk.rows();
+                    for request in [
+                        FeaturizeRequest::base_all(Featurization::RowPlusValue),
+                        FeaturizeRequest::base_rows(vec![0, 1, usize::MAX], Featurization::RowOnly),
+                        FeaturizeRequest::base_rows(vec![0, 1], Featurization::RowOnly),
+                        FeaturizeRequest::external(ext, Featurization::RowPlusValue),
+                    ] {
+                        let _ = loaded.featurize(&request);
                     }
                     let _ = loaded.row_embedding(0, 0);
                     let _ = loaded.row_embedding(usize::MAX, usize::MAX);
@@ -395,20 +400,15 @@ fn hostile_artifact_buffers_never_panic() {
 
 /// Locates a chunk inside an artifact buffer as `(crc_off, payload_start,
 /// payload_len)` by walking the chunk table (magic + version + count
-/// header is 12 bytes; each chunk is tag(4) + len(8) + crc(4), then — in
-/// the aligned v3 framing — pad_len(4) + pad bytes, then the payload).
+/// header is 12 bytes; each chunk is tag(4) + len(8) + crc(4) +
+/// pad_len(4) + pad bytes, then the payload).
 fn find_chunk(bytes: &[u8], tag: &[u8; 4]) -> Option<(usize, usize, usize)> {
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
     let mut off = 12usize;
-    while off + 16 <= bytes.len() {
+    while off + 20 <= bytes.len() {
         let t = &bytes[off..off + 4];
         let len = u64::from_le_bytes(bytes[off + 4..off + 12].try_into().unwrap()) as usize;
-        let start = if version >= 3 {
-            let pad = u32::from_le_bytes(bytes[off + 16..off + 20].try_into().unwrap()) as usize;
-            off + 20 + pad
-        } else {
-            off + 16
-        };
+        let pad = u32::from_le_bytes(bytes[off + 16..off + 20].try_into().unwrap()) as usize;
+        let start = off + 20 + pad;
         if t == tag {
             return Some((off + 12, start, len));
         }
@@ -480,7 +480,8 @@ fn hostile_disc_chunk_never_panics() {
                 // Whatever survived (mutations can land in string bytes and
                 // stay structurally valid) must still serve.
                 if catch_unwind(AssertUnwindSafe(|| {
-                    let _ = loaded.featurize_base(Featurization::RowPlusValue);
+                    let _ =
+                        loaded.featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue));
                 }))
                 .is_err()
                 {
@@ -506,7 +507,7 @@ fn hostile_disc_chunk_never_panics() {
 /// settle, never serving from an asymmetric adjacency.
 #[test]
 fn hostile_asymmetric_grph_is_rejected() {
-    use leva::{FeaturizeRequest, LevaModel};
+    use leva::LevaModel;
     use leva_interner::codec::crc32;
 
     let model = Leva::with_config(LevaConfig::fast())
@@ -555,39 +556,6 @@ fn hostile_asymmetric_grph_is_rejected() {
     }
     drop(loaded);
     std::fs::remove_file(&path).unwrap();
-}
-
-/// Hostile *corpus* buffers for the walk-corpus codec: inflated headers and
-/// random bytes must produce `CorpusDecodeError`, never a panic or an
-/// allocation proportional to a declared (rather than actual) length.
-#[test]
-fn hostile_corpus_buffers_never_panic() {
-    use leva_embedding::decode_corpus;
-
-    let mut failures = Vec::new();
-    for case in 0..40u64 {
-        let mut rng = StdRng::seed_from_u64(0xC0A9 + case);
-        let mut bytes: Vec<u8> = (0..rng.gen_range(0usize..256))
-            .map(|_| rng.gen_range(0u32..256) as u8)
-            .collect();
-        if case % 2 == 0 && bytes.len() >= 8 {
-            // Plant an absurd count in the header fields.
-            bytes[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-            bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        }
-        if catch_unwind(AssertUnwindSafe(|| {
-            let _ = decode_corpus(&bytes);
-        }))
-        .is_err()
-        {
-            failures.push(format!("corpus case {case}: panicked"));
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "corpus fuzzing failures:\n{}",
-        failures.join("\n")
-    );
 }
 
 /// An all-sentinel CSV must survive the full pipeline (the voting mechanism
@@ -713,7 +681,8 @@ fn hostile_delt_payload_never_panics() {
             Err(_) => failures.push(format!("DELT case {case}: panicked decoding")),
             Ok(Ok(loaded)) => {
                 if catch_unwind(AssertUnwindSafe(|| {
-                    let _ = loaded.featurize_base(Featurization::RowPlusValue);
+                    let _ =
+                        loaded.featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue));
                 }))
                 .is_err()
                 {

@@ -3,7 +3,9 @@
 //! coherent, persist as a replayable `base + deltas` chain, and define
 //! (not panic on) out-of-histogram numerics.
 
-use leva::{Featurization, IngestOptions, Leva, LevaConfig, LevaError, LevaModel};
+use leva::{
+    Featurization, FeaturizeRequest, IngestOptions, Leva, LevaConfig, LevaError, LevaModel,
+};
 use leva_relational::{Database, RelationalError, Table, Value};
 
 fn fixture_db() -> Database {
@@ -58,6 +60,12 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     p
 }
 
+fn base_features(model: &LevaModel) -> leva_linalg::Matrix {
+    model
+        .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
+        .unwrap()
+}
+
 fn assert_matrices_close(a: &leva_linalg::Matrix, b: &leva_linalg::Matrix, tol: f64) {
     assert_eq!(a.rows(), b.rows());
     assert_eq!(a.cols(), b.cols());
@@ -80,7 +88,7 @@ fn append_extends_base_rows_and_reports() {
     // touch pre-existing value nodes and retrofit a non-empty neighborhood.
     assert!(report.touched_value_nodes > 0);
     assert!(report.retrofit.updated + report.retrofit.seeded > 0);
-    let features = model.featurize_base(Featurization::RowPlusValue);
+    let features = base_features(&model);
     assert_eq!(features.rows(), 42);
 }
 
@@ -92,7 +100,7 @@ fn appending_to_aux_table_works_too() {
         .unwrap();
     assert_eq!(report.rows_appended, 1);
     // Base-table row count is untouched; featurization still serves.
-    assert_eq!(model.featurize_base(Featurization::RowPlusValue).rows(), 40);
+    assert_eq!(base_features(&model).rows(), 40);
 }
 
 #[test]
@@ -152,7 +160,7 @@ fn out_of_histogram_numerics_clamp_to_edge_bins() {
     assert_eq!(report.rows_appended, 2);
     assert_eq!(report.clamped_numerics, 2);
     // Both rows featurize; the clamped cells landed in real edge bins.
-    let features = model.featurize_base(Featurization::RowPlusValue);
+    let features = base_features(&model);
     assert_eq!(features.rows(), 42);
     assert!(features.row(40).iter().all(|v| v.is_finite()));
     assert!(features.row(41).iter().all(|v| v.is_finite()));
@@ -165,17 +173,17 @@ fn out_of_histogram_numerics_clamp_to_edge_bins() {
 fn featurize_after_append_matches_fresh_cache() {
     let mut model = fit();
     // Build the cache *before* the append so the patch path exercises it.
-    let _ = model.featurize_base(Featurization::RowPlusValue);
+    let _ = base_features(&model);
     model.append_rows("base", &batch_one()).unwrap();
     model
         .append_rows("aux", &[vec!["e40".into(), "t1".into()]])
         .unwrap();
-    let patched = model.featurize_base(Featurization::RowPlusValue);
+    let patched = base_features(&model);
 
     // A clone resets the featurizer cache (staleness audit contract), so
     // this featurizes the identical patched state from a cold cache.
     let fresh_model = model.clone();
-    let fresh = fresh_model.featurize_base(Featurization::RowPlusValue);
+    let fresh = base_features(&fresh_model);
     assert_matrices_close(&patched, &fresh, 1e-12);
 }
 
@@ -187,14 +195,14 @@ fn append_is_bitwise_identical_across_thread_counts() {
     reference
         .append_rows("aux", &[vec!["e41".into(), "t2".into()]])
         .unwrap();
-    let ref_features = reference.featurize_base(Featurization::RowPlusValue);
+    let ref_features = base_features(&reference);
     for threads in [2usize, 8] {
         let mut model = fit_with_threads(threads);
         model.append_rows("base", &batch_one()).unwrap();
         model
             .append_rows("aux", &[vec!["e41".into(), "t2".into()]])
             .unwrap();
-        let features = model.featurize_base(Featurization::RowPlusValue);
+        let features = base_features(&model);
         for (x, y) in ref_features.data().iter().zip(features.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "threads={threads} diverged");
         }
@@ -234,8 +242,8 @@ fn save_load_save_is_a_fixed_point_for_chained_artifacts() {
     assert_eq!(&two_links[..one_link.len()][12..], &one_link[12..]);
 
     // Replay reconstructs the post-append model exactly.
-    let a = model.featurize_base(Featurization::RowPlusValue);
-    let b = reloaded.featurize_base(Featurization::RowPlusValue);
+    let a = base_features(&model);
+    let b = base_features(&reloaded);
     assert_eq!(a.rows(), 43);
     for (x, y) in a.data().iter().zip(b.data()) {
         assert_eq!(x.to_bits(), y.to_bits(), "replayed features diverged");
@@ -260,8 +268,8 @@ fn mmap_load_replays_deltas_heap_side() {
     // Replay mutates the graph/store, so the chain cannot stay zero-copy.
     assert!(!mapped.store.is_mapped());
     assert!(!mapped.graph.is_mapped());
-    let a = eager.featurize_base(Featurization::RowPlusValue);
-    let b = mapped.featurize_base(Featurization::RowPlusValue);
+    let a = base_features(&eager);
+    let b = base_features(&mapped);
     for (x, y) in a.data().iter().zip(b.data()) {
         assert_eq!(x.to_bits(), y.to_bits(), "mmap replay diverged");
     }
@@ -298,8 +306,8 @@ fn append_onto_a_mapped_model_materializes_then_patches() {
     // The mapped-then-appended model matches the heap-then-appended one.
     let mut heap = LevaModel::load(&path).unwrap();
     heap.append_rows("base", &batch_one()).unwrap();
-    let a = mapped.featurize_base(Featurization::RowPlusValue);
-    let b = heap.featurize_base(Featurization::RowPlusValue);
+    let a = base_features(&mapped);
+    let b = base_features(&heap);
     for (x, y) in a.data().iter().zip(b.data()) {
         assert_eq!(x.to_bits(), y.to_bits(), "mapped append diverged");
     }

@@ -43,7 +43,7 @@ fn temp_path(name: &str) -> std::path::PathBuf {
     p
 }
 
-/// One chunk's frame geometry inside a v3 artifact.
+/// One chunk's frame geometry inside an artifact.
 struct Frame {
     tag: [u8; 4],
     /// Offset of the 4-byte `pad_len` field.
@@ -55,13 +55,11 @@ struct Frame {
     payload_len: usize,
 }
 
-/// Walks the aligned v3 framing: header is magic + version + count
+/// Walks the aligned framing: header is magic + version + count
 /// (12 bytes); each chunk is tag(4) + len(8) + crc(4) + pad_len(4) +
 /// pad bytes + payload.
 fn frames(bytes: &[u8]) -> Vec<Frame> {
     assert_eq!(&bytes[0..4], b"LEVA");
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-    assert!(version >= 3, "fixture must be an aligned artifact");
     let mut out = Vec::new();
     let mut off = 12usize;
     while off + 20 <= bytes.len() {
@@ -79,6 +77,42 @@ fn frames(bytes: &[u8]) -> Vec<Frame> {
         off = payload_start + len;
     }
     out
+}
+
+/// One request per [`RowSource`](leva::RowSource) variant: the deferred
+/// checks must guard every way a mapped model can be featurized.
+fn every_row_source(feat: Featurization) -> [FeaturizeRequest; 3] {
+    let ext = fixture_db()
+        .table("base")
+        .unwrap()
+        .drop_columns(&["target"])
+        .unwrap();
+    [
+        FeaturizeRequest::base_all(feat),
+        FeaturizeRequest::base_rows(vec![0, 3], feat),
+        FeaturizeRequest::external(ext, feat),
+    ]
+}
+
+/// Every request on a model with a corrupt deferred chunk fails with that
+/// chunk's typed checksum error — on every row source, on every retry
+/// (not just the call that settled the CRC).
+fn assert_every_request_fails(mapped: &LevaModel, feat: Featurization, chunk: &str) {
+    for _ in 0..2 {
+        for request in every_row_source(feat) {
+            match mapped.featurize(&request) {
+                Err(LevaError::Artifact(ArtifactError::ChecksumMismatch { chunk: c })) => {
+                    assert_eq!(c, chunk, "{:?}", request.source);
+                }
+                Err(other) => panic!("expected a {chunk} checksum error, got: {other}"),
+                Ok(_) => panic!("{:?} served from a corrupt {chunk}", request.source),
+            }
+        }
+    }
+    assert!(matches!(
+        mapped.verify_deferred(),
+        Err(ArtifactError::ChecksumMismatch { chunk: c }) if c == chunk
+    ));
 }
 
 fn assert_bitwise(a: &leva_linalg::Matrix, b: &leva_linalg::Matrix, what: &str) {
@@ -135,7 +169,8 @@ fn mapped_featurization_is_bitwise_identical_to_heap() {
 
 /// A bit flip inside the `STOR` payload passes `load_mmap` (the CRC is
 /// deferred) but the *first featurize* settles it and fails every
-/// request with a typed checksum error — flipped bits are never served.
+/// request, whatever its row source, with a typed checksum error —
+/// flipped bits are never served.
 #[test]
 fn stor_flip_loads_but_fails_first_featurize_with_typed_error() {
     if !cfg!(target_endian = "little") {
@@ -155,18 +190,7 @@ fn stor_flip_loads_but_fails_first_featurize_with_typed_error() {
 
     let mapped = LevaModel::load_mmap(&path).expect("lazy CRC: load must succeed");
     assert!(mapped.store.is_mapped());
-    for _ in 0..2 {
-        // Every request fails, not just the one that settled the CRC.
-        let err = mapped
-            .featurize(&FeaturizeRequest::base_all(Featurization::RowOnly))
-            .unwrap_err();
-        match err {
-            LevaError::Artifact(ArtifactError::ChecksumMismatch { chunk }) => {
-                assert_eq!(chunk, "STOR");
-            }
-            other => panic!("expected a STOR checksum error, got: {other}"),
-        }
-    }
+    assert_every_request_fails(&mapped, Featurization::RowOnly, "STOR");
     // The same corruption is caught eagerly by the heap path.
     assert!(matches!(
         LevaModel::load(&path).unwrap_err(),
@@ -346,7 +370,7 @@ fn mapped_graph_parity_on_discovery_weighted_graphs() {
 /// A bit flip inside the `GRPH` weights array passes `load_mmap` (the
 /// structural validation sees monotone offsets and in-range targets; the
 /// CRC is deferred) but the first featurize settles it and fails every
-/// request with a typed checksum error.
+/// request, whatever its row source, with a typed checksum error.
 #[test]
 fn grph_flip_loads_but_fails_first_featurize_with_typed_error() {
     if !cfg!(target_endian = "little") {
@@ -367,18 +391,7 @@ fn grph_flip_loads_but_fails_first_featurize_with_typed_error() {
 
     let mapped = LevaModel::load_mmap(&path).expect("lazy CRC: load must succeed");
     assert!(mapped.graph.is_mapped());
-    for _ in 0..2 {
-        // Every request fails, not just the one that settled the CRC.
-        let err = mapped
-            .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
-            .unwrap_err();
-        match err {
-            LevaError::Artifact(ArtifactError::ChecksumMismatch { chunk }) => {
-                assert_eq!(chunk, "GRPH");
-            }
-            other => panic!("expected a GRPH checksum error, got: {other}"),
-        }
-    }
+    assert_every_request_fails(&mapped, Featurization::RowPlusValue, "GRPH");
     // The same corruption is caught eagerly by the heap path.
     assert!(matches!(
         LevaModel::load(&path).unwrap_err(),

@@ -1,7 +1,7 @@
 //! End-to-end integration tests spanning the whole workspace: datasets →
 //! textify → graph → embedding → deployment → downstream model.
 
-use leva::{EmbeddingMethod, Featurization, Leva, LevaConfig, MethodUsed};
+use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig, MethodUsed};
 use leva_relational::Database;
 
 fn fit_expenses(db: &Database, cfg: &LevaConfig) -> leva::LevaModel {
@@ -62,9 +62,12 @@ fn evaluate(ds: &LabeledDataset, method: Option<EmbeddingMethod>, classification
                 .target(&ds.target_column)
                 .fit(&train_db)
                 .expect("pipeline runs");
+            let feat = Featurization::RowPlusValue;
             (
-                model.featurize_base(Featurization::RowPlusValue),
-                model.featurize_external(&test_base, Featurization::RowPlusValue),
+                model.featurize(&FeaturizeRequest::base_all(feat)).unwrap(),
+                model
+                    .featurize(&FeaturizeRequest::external(test_base, feat))
+                    .unwrap(),
             )
         }
     };
@@ -136,8 +139,9 @@ fn pipeline_is_deterministic_end_to_end() {
     let cfg = quick_cfg(EmbeddingMethod::MatrixFactorization);
     let a = fit_expenses(&ds.db, &cfg);
     let b = fit_expenses(&ds.db, &cfg);
-    let fa = a.featurize_base(Featurization::RowPlusValue);
-    let fb = b.featurize_base(Featurization::RowPlusValue);
+    let request = FeaturizeRequest::base_all(Featurization::RowPlusValue);
+    let fa = a.featurize(&request).unwrap();
+    let fb = b.featurize(&request).unwrap();
     assert_eq!(fa.data(), fb.data());
 }
 

@@ -4,7 +4,9 @@
 //! cache must stay within an amplification-bounded distance of the f64
 //! reference. `F64` is the identity: bitwise-equal features.
 
-use leva::{Featurization, Leva, LevaConfig, LevaModel, Precision, QuantizedStore};
+use leva::{
+    Featurization, FeaturizeRequest, Leva, LevaConfig, LevaModel, Precision, QuantizedStore,
+};
 use leva_relational::{Database, Table, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,7 +118,7 @@ fn quantized_stores_meet_documented_per_element_bounds() {
 fn featurize_at(bytes: &[u8], precision: Precision, feat: Featurization) -> leva_linalg::Matrix {
     let mut model = LevaModel::from_bytes(bytes).unwrap();
     model.config.precision = precision;
-    model.featurize_base(feat)
+    model.featurize(&FeaturizeRequest::base_all(feat)).unwrap()
 }
 
 /// Featurization through a quantized cache: features are degree-weighted
