@@ -1,6 +1,6 @@
 //! Microbenchmarks of the Leva pipeline stages: textification, graph
-//! construction, proximity-matrix build, randomized SVD, walk generation,
-//! SGNS training, and deployment featurization.
+//! construction, proximity-matrix build, Householder QR, randomized SVD,
+//! walk generation, SGNS training, and deployment featurization.
 //!
 //! Plain `Instant`-based harness (the workspace builds offline, without
 //! criterion): each benchmark reports min/mean over a fixed sample count.
@@ -11,8 +11,10 @@ use leva_embedding::{
     generate_walks, proximity_matrix, train_sgns, MfConfig, SgnsConfig, WalkConfig,
 };
 use leva_graph::{build_graph, GraphConfig};
-use leva_linalg::{randomized_svd, RsvdOptions};
+use leva_linalg::{randomized_svd, thin_q, Matrix, RsvdOptions};
 use leva_textify::{textify, TextifyConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 const SAMPLES: usize = 10;
@@ -66,6 +68,21 @@ fn bench_proximity_and_rsvd() {
             },
         )
     });
+}
+
+/// The range finder's QR at the sample-block shapes of the MF fits in
+/// `bench_all`: `fit_mf` (financial scale 3, dim 32 + oversample 6) and
+/// `serve_*` (restbase scale 5, dim 128 + oversample 6).
+fn bench_thin_q() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for (name, n, k) in [
+        ("linalg/thin_q_24k_x38", 24_000, 38),
+        ("linalg/thin_q_5.8k_x134", 5_800, 134),
+    ] {
+        let data = (0..n * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let y = Matrix::from_vec(n, k, data);
+        bench(name, || thin_q(&y));
+    }
 }
 
 fn bench_walks_and_sgns() {
@@ -179,6 +196,7 @@ fn bench_deployment() {
 fn main() {
     bench_textify();
     bench_graph_construction();
+    bench_thin_q();
     bench_proximity_and_rsvd();
     bench_walks_and_sgns();
     bench_end_to_end_mf();

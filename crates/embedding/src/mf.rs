@@ -86,7 +86,6 @@ pub fn build_mf_embedding(graph: &LevaGraph, cfg: &MfConfig) -> EmbeddingStore {
         },
     );
     // ε = U Σ^{1/2}
-    let k = svd.s.len();
     let mut emb = svd.u;
     for r in 0..n {
         let row = emb.row_mut(r);
@@ -106,12 +105,8 @@ pub fn build_mf_embedding(graph: &LevaGraph, cfg: &MfConfig) -> EmbeddingStore {
     }
     for node in 0..n as u32 {
         let mut v = emb.row(node as usize).to_vec();
-        // Pad if the effective rank was clamped below cfg.dim.
-        v.resize(cfg.dim.max(k), 0.0);
-        v.truncate(cfg.dim);
-        if v.len() < cfg.dim {
-            v.resize(cfg.dim, 0.0);
-        }
+        // Zero-pad if the effective rank was clamped below cfg.dim.
+        v.resize(cfg.dim, 0.0);
         store.insert_id(graph.token(node), v);
     }
     store

@@ -18,6 +18,10 @@ cargo test -q --test artifact_roundtrip
 echo "==> cargo test -q --test determinism (threading + featurizer equivalence gate)"
 cargo test -q --test determinism
 
+echo "==> cargo test --release (bitwise QR oracle + MF pins under optimized codegen)"
+cargo test --release -q -p leva-linalg
+cargo test --release -q --test determinism
+
 echo "==> cargo test -q --test mmap_artifacts (zero-copy artifact gate)"
 cargo test -q --test mmap_artifacts
 

@@ -1,7 +1,8 @@
 //! Determinism suite for the multi-threaded pipeline: the same seed must
 //! produce bitwise-identical walk corpora and MF embeddings at any thread
 //! count, and `threads = 1` with `LevaConfig::fast()` must keep matching
-//! the frozen golden fingerprint below.
+//! the frozen golden fingerprint below. Two mid-size MF pins freeze the
+//! randomized-SVD kernels at sizes where the Householder QR dominates.
 
 use leva::{
     EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig, LevaError, LevaModel,
@@ -34,8 +35,9 @@ fn golden_db() -> Database {
     db
 }
 
-fn golden_graph() -> leva_graph::LevaGraph {
-    let tokenized = textify(&golden_db(), &TextifyConfig::default());
+/// Graph of a database under the default textify and graph settings.
+fn graph_of(db: &Database) -> leva_graph::LevaGraph {
+    let tokenized = textify(db, &TextifyConfig::default());
     build_graph(&tokenized, &leva_graph::GraphConfig::default())
 }
 
@@ -62,7 +64,7 @@ fn store_fingerprint(store: &leva_embedding::EmbeddingStore) -> u64 {
 /// bitwise identical whether generated with 1, 2, or 8 worker threads.
 #[test]
 fn walk_corpus_bitwise_identical_across_thread_counts() {
-    let graph = golden_graph();
+    let graph = graph_of(&golden_db());
     let base_cfg = WalkConfig {
         walk_length: 20,
         walks_per_node: 4,
@@ -96,7 +98,7 @@ fn walk_corpus_bitwise_identical_across_thread_counts() {
 /// exact same bits at 1, 2, and 8 threads.
 #[test]
 fn mf_embedding_bitwise_identical_across_thread_counts() {
-    let graph = golden_graph();
+    let graph = graph_of(&golden_db());
     let base_cfg = MfConfig {
         dim: 16,
         seed: 0xabcd,
@@ -114,6 +116,62 @@ fn mf_embedding_bitwise_identical_across_thread_counts() {
         ));
         assert_eq!(fp, reference, "MF embedding diverged at {threads} threads");
     }
+}
+
+/// Asserts that `build_mf_embedding` carries the frozen fingerprint `want`
+/// at 1, 2 and 8 threads. The three fits are independent, so they run side
+/// by side.
+fn assert_mf_pinned(graph: &leva_graph::LevaGraph, cfg: MfConfig, want: u64) {
+    let fingerprints: Vec<(usize, u64)> = std::thread::scope(|scope| {
+        let fits: Vec<_> = [1usize, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                let fit = scope.spawn(move || {
+                    store_fingerprint(&build_mf_embedding(graph, &MfConfig { threads, ..cfg }))
+                });
+                (threads, fit)
+            })
+            .collect();
+        fits.into_iter()
+            .map(|(threads, fit)| (threads, fit.join().expect("MF fit panicked")))
+            .collect()
+    });
+    for (threads, fp) in fingerprints {
+        assert_eq!(fp, want, "MF fingerprint {fp:#x} at {threads} threads");
+    }
+}
+
+/// Frozen MF output at a size where the Householder QR dominates: the
+/// `LevaConfig::fast()` MF settings (dim 32, 38-column sample blocks) on a
+/// mid-size financial graph. Like the golden fingerprint, the constant may
+/// change only with a deliberate change to the numerics.
+#[test]
+fn mf_mid_size_fast_config_matches_frozen_fingerprint() {
+    const MF_FAST_FP: u64 = 0x5605_0206_a6ec_68a8;
+    let graph = graph_of(&leva_datasets::financial(0.2, 11).db);
+    assert!(graph.n_nodes() > 1000, "{} nodes", graph.n_nodes());
+    assert_mf_pinned(&graph, LevaConfig::fast().mf, MF_FAST_FP);
+}
+
+/// Frozen MF output with wide sample blocks (rank + oversample = 102 > 100
+/// columns) on a seeded restbase graph.
+#[test]
+fn mf_wide_block_matches_frozen_fingerprint() {
+    const MF_WIDE_FP: u64 = 0x22e8_b1f0_85bc_5cd8;
+    let graph = graph_of(&leva_datasets::restbase(0.2, 11).db);
+    let cfg = MfConfig {
+        dim: 96,
+        oversample: 6,
+        power_iters: 1,
+        seed: 0x77,
+        ..MfConfig::default()
+    };
+    assert!(
+        graph.n_nodes() > cfg.dim + cfg.oversample,
+        "{} nodes",
+        graph.n_nodes()
+    );
+    assert_mf_pinned(&graph, cfg, MF_WIDE_FP);
 }
 
 /// End-to-end: the full builder pipeline produces identical embeddings at
