@@ -139,8 +139,7 @@ fn bench_deployment() {
         .fit(&ds.db)
         .expect("fit");
     // Build the featurizer caches once (outside the timed region, as a
-    // serving process would), then time the cached engine against the
-    // reference two-hop walk it replaced.
+    // serving process would), then time the cached engine.
     let featurizer = model.featurizer();
     println!(
         "{:<44} {:>12.3?}",
@@ -152,13 +151,9 @@ fn bench_deployment() {
         featurizer.estimated_bytes(),
     );
     let n_rows = model.base_row_count();
-    let rows: Vec<usize> = (0..n_rows).collect();
     let all_rows = FeaturizeRequest::base_all(Featurization::RowPlusValue);
     bench("deploy/featurize_base_row_plus_value", || {
         model.featurize(&all_rows).expect("featurize")
-    });
-    bench("deploy/featurize_base_walk_reference", || {
-        model.featurize_base_rows_walk(&rows, Featurization::RowPlusValue)
     });
     // Serving throughput gauge: rows/sec through the cached single-thread
     // engine (the number a deployment capacity-plans against).

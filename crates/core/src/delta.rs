@@ -22,8 +22,8 @@
 //! append path is bitwise identical at any thread count. A full refit on
 //! the appended database remains the correctness oracle: the patched graph
 //! is an add-only superset (see `leva-graph`'s delta module docs) and
-//! retrofit vectors approximate, within the ε documented in
-//! `results/BENCH_10.json`, what a refit would learn.
+//! retrofit vectors approximate what a refit would learn, within the ε of
+//! DESIGN.md §6.16 that `crates/bench/tests/quality_gates.rs` enforces.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

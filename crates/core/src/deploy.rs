@@ -24,9 +24,9 @@
 //! precomputed [`Featurizer`] engine (DESIGN.md §6.11): per-value-node
 //! aggregates are cached once per model, so each row costs `O(#tokens · d)`
 //! dense adds instead of a two-hop graph walk, and batches shard rows over
-//! deterministic thread bands. The original walk survives as the `*_walk`
-//! reference implementations that the equivalence tests (and the stages
-//! bench) compare against.
+//! deterministic thread bands. The original walk survives as the
+//! doc-hidden `*_walk` reference implementations that the equivalence
+//! tests compare against.
 
 use crate::config::Featurization;
 use crate::featurizer::Featurizer;
@@ -82,8 +82,8 @@ impl LevaModel {
     }
 
     /// Reference implementation of the per-row accumulation: the two-hop
-    /// graph walk the [`Featurizer`] caches replace. Kept for equivalence
-    /// tests and the stages bench.
+    /// graph walk the [`Featurizer`] caches replace. Kept for the
+    /// equivalence tests.
     ///
     /// Contributions are weighted by the *stored* edge weights — `conf /
     /// deg(value)`, the same "hub values carry weak inclusion-dependency
@@ -188,8 +188,7 @@ impl LevaModel {
     }
 
     /// Reference (two-hop walk) implementation of base-row featurization,
-    /// kept for the cached-vs-naive equivalence tests and the stages bench.
-    /// Not a serving API.
+    /// kept for the cached-vs-naive equivalence tests. Not a serving API.
     #[doc(hidden)]
     pub fn featurize_base_rows_walk(&self, rows: &[usize], feat: Featurization) -> Matrix {
         let mut out = Matrix::zeros(rows.len(), self.feature_dim(feat));

@@ -81,13 +81,30 @@ fn assert_matrices_close(a: &leva_linalg::Matrix, b: &leva_linalg::Matrix, tol: 
 fn append_extends_base_rows_and_reports() {
     let mut model = fit();
     assert_eq!(model.base_row_count(), 40);
+    // Warm the featurizer so the append patches cache slots.
+    base_features(&model);
     let report = model.append_rows("base", &batch_one()).unwrap();
     assert_eq!(report.rows_appended, 2);
     assert_eq!(model.base_row_count(), 42);
     // "e40"/"e41" share grp tokens with existing rows, so the patch must
     // touch pre-existing value nodes and retrofit a non-empty neighborhood.
     assert!(report.touched_value_nodes > 0);
-    assert!(report.retrofit.updated + report.retrofit.seeded > 0);
+    let retrofitted = report.retrofit.updated + report.retrofit.seeded;
+    assert!(retrofitted > 0);
+    assert!(report.featurizer_slots_patched > 0);
+    // Locality is what makes an append cheaper than a refit: it retrofits
+    // a strict subset of the stored embeddings and recomputes a strict
+    // subset of the featurizer's value-node slots.
+    let stored = model.store.len();
+    assert!(
+        retrofitted < stored,
+        "retrofitted {retrofitted} of {stored} embeddings"
+    );
+    let (patched, values) = (report.featurizer_slots_patched, model.graph.n_value_nodes());
+    assert!(
+        patched < values,
+        "patched {patched} of {values} value slots"
+    );
     let features = base_features(&model);
     assert_eq!(features.rows(), 42);
 }

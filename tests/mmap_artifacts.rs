@@ -137,6 +137,30 @@ fn mapped_featurization_is_bitwise_identical_to_heap() {
     let mapped = LevaModel::load_mmap(&path).unwrap();
     if cfg!(target_endian = "little") {
         assert!(mapped.store.is_mapped(), "v3 artifact must map the store");
+        // Zero-copy: the mapped store and graph serve their whole chunk
+        // payloads from the mapping and keep less on the heap.
+        let bytes = std::fs::read(&path).unwrap();
+        let payload_len = |tag: &[u8; 4]| {
+            frames(&bytes)
+                .iter()
+                .find(|f| &f.tag == tag)
+                .expect("chunk present")
+                .payload_len
+        };
+        assert_eq!(mapped.store.mapped_bytes(), payload_len(b"STOR"));
+        assert_eq!(mapped.graph.mapped_bytes(), payload_len(b"GRPH"));
+        let (store_mapped, store_heap) =
+            (mapped.store.resident_bytes(), heap.store.resident_bytes());
+        assert!(
+            store_mapped < store_heap,
+            "store resident bytes: mapped {store_mapped} vs heap {store_heap}"
+        );
+        let (graph_mapped, graph_heap) =
+            (mapped.graph.resident_bytes(), heap.graph.resident_bytes());
+        assert!(
+            graph_mapped < graph_heap,
+            "graph resident bytes: mapped {graph_mapped} vs heap {graph_heap}"
+        );
     }
     assert!(!heap.store.is_mapped());
 
