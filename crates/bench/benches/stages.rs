@@ -1,6 +1,7 @@
 //! Microbenchmarks of the Leva pipeline stages: textification, graph
 //! construction, proximity-matrix build, Householder QR, randomized SVD,
-//! walk generation, SGNS training, and deployment featurization.
+//! walk generation, SGNS training, deployment featurization, and the
+//! artifact CRC-32.
 //!
 //! Plain `Instant`-based harness (the workspace builds offline, without
 //! criterion): each benchmark reports min/mean over a fixed sample count.
@@ -11,6 +12,7 @@ use leva_embedding::{
     generate_walks, proximity_matrix, train_sgns, MfConfig, SgnsConfig, WalkConfig,
 };
 use leva_graph::{build_graph, GraphConfig};
+use leva_interner::codec::crc32;
 use leva_linalg::{randomized_svd, thin_q, Matrix, RsvdOptions};
 use leva_textify::{textify, TextifyConfig};
 use rand::rngs::StdRng;
@@ -83,6 +85,15 @@ fn bench_thin_q() {
         let y = Matrix::from_vec(n, k, data);
         bench(name, || thin_q(&y));
     }
+}
+
+/// CRC-32 over a payload the size of the `serve_append` model's `STOR`
+/// chunk (5.5 MB): every serve-side append hashes one, and a mapped load
+/// hashes one on first featurize.
+fn bench_crc32() {
+    let mut rng = StdRng::seed_from_u64(2);
+    let payload: Vec<u8> = (0..5_500_000).map(|_| rng.gen::<u32>() as u8).collect();
+    bench("codec/crc32_5.5MB", || crc32(&payload));
 }
 
 fn bench_walks_and_sgns() {
@@ -192,6 +203,7 @@ fn main() {
     bench_textify();
     bench_graph_construction();
     bench_thin_q();
+    bench_crc32();
     bench_proximity_and_rsvd();
     bench_walks_and_sgns();
     bench_end_to_end_mf();

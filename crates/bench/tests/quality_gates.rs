@@ -41,8 +41,8 @@ fn fit_on(ds: &LabeledDataset, db: &Database) -> LevaModel {
 }
 
 /// Fits the base table with the last ~1% of its rows held out, absorbs
-/// them through `append_rows` (the first row seeds the delta chain, the
-/// rest follow as one batch), and scores the patched featurization
+/// them through `append_rows` (the first row as its own append, the rest
+/// as one batch), and scores the patched featurization
 /// against a full refit on the complete database, on one shared split.
 fn retrofit_vs_refit(name: &str) -> RetrofitVsRefit {
     let ds = by_name(name, SCALE, SEED).expect("dataset");

@@ -27,15 +27,12 @@
 //! | `STOR` | embedding store: aligned dense f64 matrix                  |
 //! | `DISC` | discovered relationships + injection counters              |
 //! | `META` | base table, method, memory estimate, timings, ingest audit |
-//! | `DELT` | one appended-rows delta record (repeatable, ordered)       |
 //!
-//! An artifact carries zero or more trailing `DELT` chunks (DESIGN.md
-//! §6.16): each is one [`DeltaRecord`] of rows appended after the base
-//! model was fitted. Saving a model with pending deltas re-emits the
-//! captured *base* snapshot unchanged and appends one `DELT` frame per
-//! record, so versioned artifacts form a chain; loading decodes the base,
-//! then replays every delta in writing order through the same append path
-//! (`LevaModel::append_rows`).
+//! An artifact is always exactly the model's current state. A model that
+//! absorbed rows through `LevaModel::append_rows` (DESIGN.md §6.16) saves
+//! its patched graph, retrofitted store and extended tokenization as
+//! these same seven chunks, so it loads, and maps zero-copy, like a freshly
+//! fitted one. Any other tag fails as [`ArtifactError::BadChunk`].
 //!
 //! Decoding is strictly bounded: every declared length is validated against
 //! the remaining buffer *before* any allocation, all length arithmetic is
@@ -49,7 +46,6 @@
 //! §6.14, §6.15).
 
 use crate::config::{EmbeddingMethod, Featurization, LevaConfig};
-use crate::delta::DeltaRecord;
 use crate::memory::MemoryEstimate;
 use crate::pipeline::{LevaModel, MethodUsed};
 use crate::timing::StageTimings;
@@ -78,7 +74,6 @@ const TAG_GRPH: [u8; 4] = *b"GRPH";
 const TAG_STOR: [u8; 4] = *b"STOR";
 const TAG_DISC: [u8; 4] = *b"DISC";
 const TAG_META: [u8; 4] = *b"META";
-const TAG_DELT: [u8; 4] = *b"DELT";
 
 /// Errors produced while reading or writing a model artifact.
 #[derive(Debug)]
@@ -207,17 +202,9 @@ impl LevaModel {
     /// header plus the *largest single chunk* rather than the whole
     /// artifact.
     ///
-    /// A model with pending deltas saves as a *chain*: the base snapshot
-    /// captured at the first append, byte-for-byte, with the header chunk
-    /// count patched up and one `DELT` frame appended per record. A model
-    /// whose base snapshot was invalidated (replacement store) serializes
-    /// its current state directly.
+    /// The bytes are the model's current state, appended rows included:
+    /// saving, loading and saving again reproduces them exactly.
     pub fn save_to(&self, mut out: impl Write) -> Result<(), ArtifactError> {
-        if !self.deltas.is_empty() {
-            if let Some(base) = &self.base_artifact {
-                return Ok(write_delta_chain(base, &self.deltas, out)?);
-            }
-        }
         let tags = [
             TAG_SYMB, TAG_CONF, TAG_TOKD, TAG_GRPH, TAG_STOR, TAG_DISC, TAG_META,
         ];
@@ -315,7 +302,7 @@ impl LevaModel {
 
         check_consistency(&config, &tokenized, &graph, &store, &meta, &discovered)?;
 
-        let mut model = LevaModel {
+        Ok(LevaModel {
             config,
             store,
             graph,
@@ -329,14 +316,8 @@ impl LevaModel {
             ingest: meta.ingest,
             discovered,
             discovery_injection,
-            deltas: Vec::new(),
-            base_artifact: None,
             featurizer: std::sync::OnceLock::new(),
-        };
-        if !chunks.delt.is_empty() {
-            replay_deltas(&mut model, &chunks.delt)?;
-        }
-        Ok(model)
+        })
     }
 
     /// Writes the model artifact to a file, streaming chunk by chunk (no
@@ -420,66 +401,6 @@ fn write_frame(
     Ok(offset + 20 + pad + payload.len() as u64)
 }
 
-/// Emits a delta chain: the captured base artifact with its header chunk
-/// count raised by the number of deltas, then one `DELT` frame per record
-/// in append order, continuing the aligned framing from the base's final
-/// byte offset. Reloading the chain and saving it again reproduces these
-/// bytes exactly (the base snapshot is canonical).
-fn write_delta_chain(
-    base: &[u8],
-    deltas: &[DeltaRecord],
-    mut out: impl Write,
-) -> std::io::Result<()> {
-    debug_assert!(base.len() >= 12, "base snapshot must carry a header");
-    let base_count = u32::from_le_bytes(base[8..12].try_into().expect("4-byte slice"));
-    let chunk_count = base_count + deltas.len() as u32;
-    out.write_all(&base[..8])?;
-    out.write_all(&chunk_count.to_le_bytes())?;
-    out.write_all(&base[12..])?;
-    let mut offset = base.len() as u64;
-    for record in deltas {
-        let mut w = ByteWriter::new();
-        record.encode_into(&mut w);
-        offset = write_frame(&mut out, TAG_DELT, &w.into_bytes(), offset)?;
-    }
-    Ok(())
-}
-
-/// Replays a chain's `DELT` chunks onto the freshly decoded base model, in
-/// artifact order. All records are decoded (bounded, typed) before the
-/// first one mutates the model. A mapped base is settled heap-side first —
-/// replay rewrites the graph and store, so the zero-copy view cannot
-/// survive an append anyway — which verifies the deferred `STOR`/`GRPH`
-/// CRCs up front. The canonical re-encoding of the decoded base is
-/// captured as the chain's base snapshot *before* replay, so saving the
-/// loaded model reproduces the chain byte-for-byte (save→load→save is a
-/// fixed point).
-fn replay_deltas(model: &mut LevaModel, delt: &[RawChunk<'_>]) -> Result<(), ArtifactError> {
-    let mut records = Vec::with_capacity(delt.len());
-    for raw in delt {
-        records.push(DeltaRecord::decode(raw.payload).map_err(in_chunk("DELT"))?);
-    }
-    model.settle_on_heap()?;
-    model.base_artifact = Some(model.to_bytes());
-    for record in &records {
-        model.apply_delta(record).map_err(|e| match e {
-            crate::LevaError::Artifact(a) => a,
-            crate::LevaError::Relational(_) | crate::LevaError::Ingest { .. } => {
-                ArtifactError::Decode {
-                    chunk: "DELT",
-                    source: DecodeError::Invalid(
-                        "delta references a table or arity the base model does not have",
-                    ),
-                }
-            }
-            _ => ArtifactError::Inconsistent {
-                reason: "delta replay failed against the decoded base model",
-            },
-        })?;
-    }
-    Ok(())
-}
-
 /// One located chunk: its payload slice, absolute offset of that payload
 /// within the artifact, and declared CRC-32.
 struct RawChunk<'a> {
@@ -498,8 +419,6 @@ struct Chunks<'a> {
     stor: RawChunk<'a>,
     disc: RawChunk<'a>,
     meta: RawChunk<'a>,
-    /// Appended-delta chunks in artifact order (possibly empty).
-    delt: Vec<RawChunk<'a>>,
 }
 
 /// Walks the container: validates magic/version, frames every chunk
@@ -526,7 +445,6 @@ fn walk_chunks(bytes: &[u8], eager_crc: bool) -> Result<Chunks<'_>, ArtifactErro
     let mut stor: Option<RawChunk<'_>> = None;
     let mut disc: Option<RawChunk<'_>> = None;
     let mut meta: Option<RawChunk<'_>> = None;
-    let mut delt: Vec<RawChunk<'_>> = Vec::new();
     for _ in 0..chunk_count {
         let tag: [u8; 4] = r
             .take_raw(4)
@@ -561,14 +479,7 @@ fn walk_chunks(bytes: &[u8], eager_crc: bool) -> Result<Chunks<'_>, ArtifactErro
             offset,
             crc,
         };
-        // DELT is the one repeatable tag (a chain carries one per append).
-        // Its CRC was verified above unconditionally (it is never deferred:
-        // replay mutates the model).
         let slot = match tag {
-            TAG_DELT => {
-                delt.push(chunk);
-                continue;
-            }
             TAG_SYMB => &mut symb,
             TAG_CONF => &mut conf,
             TAG_TOKD => &mut tokd,
@@ -593,7 +504,6 @@ fn walk_chunks(bytes: &[u8], eager_crc: bool) -> Result<Chunks<'_>, ArtifactErro
         stor: stor.ok_or(ArtifactError::MissingChunk("STOR"))?,
         disc: disc.ok_or(ArtifactError::MissingChunk("DISC"))?,
         meta: meta.ok_or(ArtifactError::MissingChunk("META"))?,
-        delt,
     })
 }
 
@@ -1233,13 +1143,15 @@ mod tests {
             LevaModel::from_bytes(&trailing).unwrap_err(),
             ArtifactError::TrailingData
         ));
-        // Unknown tag.
-        let mut unknown = bytes.clone();
-        unknown[12..16].copy_from_slice(b"WHAT");
-        assert!(matches!(
-            LevaModel::from_bytes(&unknown).unwrap_err(),
-            ArtifactError::BadChunk { .. }
-        ));
+        // Unknown tags, including the retired `DELT` delta-chain tag.
+        for tag in [b"WHAT", b"DELT"] {
+            let mut unknown = bytes.clone();
+            unknown[12..16].copy_from_slice(tag);
+            assert!(matches!(
+                LevaModel::from_bytes(&unknown).unwrap_err(),
+                ArtifactError::BadChunk { .. }
+            ));
+        }
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //!    ([`leva_embedding::retrofit_embeddings`], RETRO-style: stay near the
 //!    old vector, move toward patched neighbors).
 //! 5. **Invalidate/patch** exactly the touched [`Featurizer`] cache slots.
-//! 6. **Record** the batch as a [`DeltaRecord`] so the artifact persists a
-//!    `base + deltas` chain (`DELT` chunks, replayed on load).
+//!
+//! The patched model is the whole post-append state: saving it writes a
+//! plain artifact (DESIGN.md §6.10) that loads, heap or mapped, into the
+//! same model.
 //!
 //! Every step is sequential and iterates in deterministic order, so the
 //! append path is bitwise identical at any thread count. A full refit on
@@ -29,115 +31,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use leva_embedding::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
-use leva_interner::codec::{ByteReader, ByteWriter, DecodeError};
 use leva_relational::{CellIssue, IngestMode, IngestOptions, IngestReport, IssueReason, Value};
 
 use crate::featurizer::Featurizer;
 use crate::pipeline::{LevaError, LevaModel};
 use leva_embedding::Precision;
-
-/// One persisted delta batch: ingest-normalized rows appended to a table.
-/// Replaying the record through the append machinery is deterministic, so
-/// `base + deltas` reconstructs the exact post-append model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeltaRecord {
-    /// Target table name (must exist in the tokenized database).
-    pub table: String,
-    /// Ingest-normalized rows, matching the table's tokenized (target-
-    /// stripped) column arity.
-    pub rows: Vec<Vec<Value>>,
-}
-
-/// Value-cell wire tags of the `DELT` payload.
-const CELL_NULL: u8 = 0;
-const CELL_INT: u8 = 1;
-const CELL_FLOAT: u8 = 2;
-const CELL_TEXT: u8 = 3;
-const CELL_BOOL: u8 = 4;
-const CELL_TIMESTAMP: u8 = 5;
-
-impl DeltaRecord {
-    /// Encodes the record as a `DELT` chunk payload.
-    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_str(&self.table);
-        w.put_u32(u32::try_from(self.rows.len()).expect("delta under 4 Gi rows"));
-        let cols = self.rows.first().map_or(0, Vec::len);
-        w.put_u32(u32::try_from(cols).expect("delta under 4 Gi columns"));
-        for row in &self.rows {
-            debug_assert_eq!(row.len(), cols, "delta rows share one arity");
-            for cell in row {
-                match cell {
-                    Value::Null => w.put_u8(CELL_NULL),
-                    Value::Int(v) => {
-                        w.put_u8(CELL_INT);
-                        w.put_u64(*v as u64);
-                    }
-                    Value::Float(v) => {
-                        w.put_u8(CELL_FLOAT);
-                        w.put_f64(*v);
-                    }
-                    Value::Text(s) => {
-                        w.put_u8(CELL_TEXT);
-                        w.put_str(s);
-                    }
-                    Value::Bool(b) => {
-                        w.put_u8(CELL_BOOL);
-                        w.put_u8(u8::from(*b));
-                    }
-                    Value::Timestamp(v) => {
-                        w.put_u8(CELL_TIMESTAMP);
-                        w.put_u64(*v as u64);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Decodes a `DELT` chunk payload. Bounded: row/column counts are
-    /// validated against the remaining bytes before any allocation, so an
-    /// inflated count fails typed instead of OOM-ing; trailing bytes are
-    /// rejected.
-    pub(crate) fn decode(bytes: &[u8]) -> Result<DeltaRecord, DecodeError> {
-        let mut r = ByteReader::new(bytes);
-        let table = r.take_str()?.to_owned();
-        // Every cell costs at least one tag byte, so rows·cols ≤ remaining.
-        let n_rows = r.take_count(1)?;
-        let n_cols = r.take_u32()? as usize;
-        if n_rows
-            .checked_mul(n_cols)
-            .is_none_or(|cells| cells > r.remaining())
-        {
-            return Err(DecodeError::LengthOverflow);
-        }
-        let mut rows = Vec::with_capacity(n_rows);
-        for _ in 0..n_rows {
-            let mut row = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                row.push(match r.take_u8()? {
-                    CELL_NULL => Value::Null,
-                    CELL_INT => Value::Int(r.take_u64()? as i64),
-                    CELL_FLOAT => {
-                        let v = r.take_f64()?;
-                        if !v.is_finite() {
-                            // The encoder only ever writes normalized rows.
-                            return Err(DecodeError::Invalid("non-finite delta float"));
-                        }
-                        Value::Float(v)
-                    }
-                    CELL_TEXT => Value::Text(r.take_str()?.to_owned()),
-                    CELL_BOOL => Value::Bool(r.take_u8()? != 0),
-                    CELL_TIMESTAMP => Value::Timestamp(r.take_u64()? as i64),
-                    _ => return Err(DecodeError::Invalid("unknown delta cell tag")),
-                });
-            }
-            rows.push(row);
-        }
-        if r.remaining() != 0 {
-            return Err(DecodeError::Invalid("trailing bytes in DELT payload"));
-        }
-        Ok(DeltaRecord { table, rows })
-    }
-}
 
 /// What one [`LevaModel::append_rows`] call did.
 #[derive(Debug, Clone)]
@@ -176,8 +74,8 @@ impl LevaModel {
 
     /// Appends `rows` to `table`, updating the model incrementally — graph
     /// patch, RETRO-style embedding retrofit of affected nodes, targeted
-    /// featurizer-cache invalidation — and records the batch as a
-    /// [`DeltaRecord`] so saved artifacts persist a `base + deltas` chain.
+    /// featurizer-cache invalidation. The patched model is the whole new
+    /// state: [`LevaModel::save`] persists it as a plain artifact.
     ///
     /// Rows must match the table's *tokenized* schema (the target column,
     /// if any, was stripped before fitting). Under
@@ -193,38 +91,94 @@ impl LevaModel {
         rows: &[Vec<Value>],
         options: &IngestOptions,
     ) -> Result<AppendReport, LevaError> {
-        let (normalized, ingest) = self.normalize_rows(table, rows, options)?;
-        if normalized.is_empty() {
-            // A zero-row append is a true no-op: no delta link, no audit
-            // entry, the serialized artifact is untouched.
-            return Ok(AppendReport {
-                rows_appended: 0,
-                new_value_nodes: 0,
-                touched_value_nodes: 0,
-                clamped_numerics: 0,
-                retrofit: RetrofitReport::default(),
-                featurizer_slots_patched: 0,
-                ingest,
-            });
-        }
-        let record = DeltaRecord {
-            table: table.to_owned(),
-            rows: normalized,
+        let (ti, rows, ingest) = self.normalize_rows(table, rows, options)?;
+        let mut report = AppendReport {
+            rows_appended: rows.len(),
+            new_value_nodes: 0,
+            touched_value_nodes: 0,
+            clamped_numerics: 0,
+            retrofit: RetrofitReport::default(),
+            featurizer_slots_patched: 0,
+            ingest,
         };
-        let mut report = self.apply_delta(&record)?;
-        report.ingest = ingest.clone();
-        self.ingest.push(ingest);
+        if rows.is_empty() {
+            // A zero-row append is a true no-op: no audit entry, the
+            // serialized artifact is untouched.
+            return Ok(report);
+        }
+
+        self.settle_on_heap()?;
+
+        // 1. Tokenize with the fitted encoders (extends the interner under
+        //    a fresh shared Arc; out-of-histogram numerics clamp).
+        let first_new_row = self.tokenized.tables[ti].rows.len();
+        let appended = self
+            .tokenized
+            .append_rows(ti, &rows)
+            .map_err(LevaError::Relational)?;
+        report.clamped_numerics = appended.clamped_numerics;
+
+        // 2. Patch the graph in place against the extended tokenization.
+        let patch =
+            self.graph
+                .patch_append(&self.tokenized, ti, first_new_row, &self.config.graph)?;
+        report.new_value_nodes = patch.new_values.len();
+        report.touched_value_nodes = patch.touched_values.len();
+
+        // 3. Adopt the extended symbol table in the store, then retrofit
+        //    the affected neighborhood: new rows, new/touched values, rows
+        //    that gained edges, and the rows adjacent to changed values
+        //    (their related-row mix shifted).
+        self.store
+            .upgrade_symbols(Arc::clone(&self.tokenized.symbols));
+        let mut affected: BTreeSet<u32> = BTreeSet::new();
+        affected.extend(patch.new_rows.iter().copied());
+        affected.extend(patch.new_values.iter().copied());
+        affected.extend(patch.touched_values.iter().copied());
+        affected.extend(patch.rows_with_new_edges.iter().copied());
+        for &v in patch.new_values.iter().chain(&patch.touched_values) {
+            for (r, _) in self.graph.neighbors(v).iter() {
+                affected.insert(r);
+            }
+        }
+        let affected: Vec<u32> = affected.into_iter().collect();
+        report.retrofit = retrofit_embeddings(
+            &mut self.store,
+            &self.graph,
+            &affected,
+            &RetrofitConfig::default(),
+        );
+
+        // 4. Featurizer staleness: the cache slots that could differ are
+        //    the changed values, plus every value adjacent to a row whose
+        //    edges or neighbor embeddings changed (two-hop reads those
+        //    rows' sums). Patch them in place when a full-precision cache
+        //    exists; reduced-precision caches are dropped and lazily
+        //    rebuilt (their build reads a quantized snapshot the patch
+        //    path does not model).
+        if let Some(mut featurizer) = take_featurizer(self) {
+            if self.config.precision == Precision::F64 {
+                let changed = changed_value_slots(self, &patch.new_rows, &affected);
+                featurizer.patch(&self.graph, &self.store, &changed);
+                report.featurizer_slots_patched = changed.len();
+                let _ = self.featurizer.set(featurizer);
+            }
+            // else: dropped — rebuilt on the next featurize call.
+        }
+
+        self.ingest.push(report.ingest.clone());
         Ok(report)
     }
 
     /// Validates and repairs `rows` against the tokenized schema of
-    /// `table`, per the mode in `options`. Pure: no model mutation.
+    /// `table`, per the mode in `options`, returning the table's index with
+    /// the repaired rows. Pure: no model mutation.
     fn normalize_rows(
         &self,
         table: &str,
         rows: &[Vec<Value>],
         options: &IngestOptions,
-    ) -> Result<(Vec<Vec<Value>>, IngestReport), LevaError> {
+    ) -> Result<(usize, Vec<Vec<Value>>, IngestReport), LevaError> {
         let Some(ti) = self.tokenized.tables.iter().position(|t| t.name == table) else {
             return Err(LevaError::Relational(
                 leva_relational::RelationalError::UnknownTable {
@@ -290,124 +244,18 @@ impl LevaModel {
             out.push(row);
         }
         report.rows_ingested = out.len();
-        Ok((out, report))
+        Ok((ti, out, report))
     }
 
     /// Moves mapped graph and store state onto the heap so it can be
     /// mutated. The deferred CRCs are settled first: a corrupt mapped
     /// payload fails typed instead of being patched on top of.
-    pub(crate) fn settle_on_heap(&mut self) -> Result<(), crate::ArtifactError> {
+    fn settle_on_heap(&mut self) -> Result<(), crate::ArtifactError> {
         self.verify_deferred()?;
         // Both report the verdicts `verify_deferred` just cached (`true`).
         self.graph.ensure_heap();
         self.store.materialize();
         Ok(())
-    }
-
-    /// Applies one delta batch to the in-memory model: tokenize → graph
-    /// patch → retrofit → featurizer invalidation → chain bookkeeping.
-    /// `record.rows` must already be ingest-normalized. This is also the
-    /// artifact replay path, which is what makes `base + deltas` a faithful
-    /// reconstruction.
-    pub(crate) fn apply_delta(&mut self, record: &DeltaRecord) -> Result<AppendReport, LevaError> {
-        let Some(ti) = self
-            .tokenized
-            .tables
-            .iter()
-            .position(|t| t.name == record.table)
-        else {
-            return Err(LevaError::Relational(
-                leva_relational::RelationalError::UnknownTable {
-                    table: record.table.clone(),
-                },
-            ));
-        };
-
-        self.settle_on_heap()?;
-
-        // Snapshot the pre-delta artifact once: it becomes the persisted
-        // `base` of the chain. (Replay sets this before applying deltas.)
-        if self.deltas.is_empty() && self.base_artifact.is_none() {
-            self.base_artifact = Some(self.to_bytes());
-        }
-
-        let mut report = AppendReport {
-            rows_appended: record.rows.len(),
-            new_value_nodes: 0,
-            touched_value_nodes: 0,
-            clamped_numerics: 0,
-            retrofit: RetrofitReport::default(),
-            featurizer_slots_patched: 0,
-            ingest: IngestReport::new(&record.table),
-        };
-        if record.rows.is_empty() {
-            // Only reachable via artifact replay (the public append path
-            // filters empty batches): keep the degenerate link so re-saving
-            // the loaded chain stays a byte-for-byte fixed point.
-            self.deltas.push(record.clone());
-            return Ok(report);
-        }
-
-        // 1. Tokenize with the fitted encoders (extends the interner under
-        //    a fresh shared Arc; out-of-histogram numerics clamp).
-        let first_new_row = self.tokenized.tables[ti].rows.len();
-        let appended = self
-            .tokenized
-            .append_rows(ti, &record.rows)
-            .map_err(LevaError::Relational)?;
-        report.clamped_numerics = appended.clamped_numerics;
-
-        // 2. Patch the graph in place against the extended tokenization.
-        let patch =
-            self.graph
-                .patch_append(&self.tokenized, ti, first_new_row, &self.config.graph)?;
-        report.new_value_nodes = patch.new_values.len();
-        report.touched_value_nodes = patch.touched_values.len();
-
-        // 3. Adopt the extended symbol table in the store, then retrofit
-        //    the affected neighborhood: new rows, new/touched values, rows
-        //    that gained edges, and the rows adjacent to changed values
-        //    (their related-row mix shifted).
-        self.store
-            .upgrade_symbols(Arc::clone(&self.tokenized.symbols));
-        let mut affected: BTreeSet<u32> = BTreeSet::new();
-        affected.extend(patch.new_rows.iter().copied());
-        affected.extend(patch.new_values.iter().copied());
-        affected.extend(patch.touched_values.iter().copied());
-        affected.extend(patch.rows_with_new_edges.iter().copied());
-        for &v in patch.new_values.iter().chain(&patch.touched_values) {
-            for (r, _) in self.graph.neighbors(v).iter() {
-                affected.insert(r);
-            }
-        }
-        let affected: Vec<u32> = affected.into_iter().collect();
-        report.retrofit = retrofit_embeddings(
-            &mut self.store,
-            &self.graph,
-            &affected,
-            &RetrofitConfig::default(),
-        );
-
-        // 4. Featurizer staleness: the cache slots that could differ are
-        //    the changed values, plus every value adjacent to a row whose
-        //    edges or neighbor embeddings changed (two-hop reads those
-        //    rows' sums). Patch them in place when a full-precision cache
-        //    exists; reduced-precision caches are dropped and lazily
-        //    rebuilt (their build reads a quantized snapshot the patch
-        //    path does not model).
-        if let Some(mut featurizer) = take_featurizer(self) {
-            if self.config.precision == Precision::F64 {
-                let changed = changed_value_slots(self, &patch.new_rows, &affected);
-                featurizer.patch(&self.graph, &self.store, &changed);
-                report.featurizer_slots_patched = changed.len();
-                let _ = self.featurizer.set(featurizer);
-            }
-            // else: dropped — rebuilt on the next featurize call.
-        }
-
-        // 5. Chain bookkeeping.
-        self.deltas.push(record.clone());
-        Ok(report)
     }
 }
 

@@ -70,7 +70,7 @@ mod timing;
 
 pub use artifact::ArtifactError;
 pub use config::{EmbeddingMethod, Featurization, LevaConfig};
-pub use delta::{AppendReport, DeltaRecord};
+pub use delta::AppendReport;
 pub use er::{match_embeddings, resolve_entities, score_matches, ErOptions, ErResult};
 pub use featurizer::Featurizer;
 pub use finetune::{droppable_tables, finetune_drop_tables};

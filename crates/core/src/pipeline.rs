@@ -147,15 +147,6 @@ pub struct LevaModel {
     /// What relationship injection (declared FKs + discovered joins) did to
     /// the graph. All-zero when the discovery stage is disabled.
     pub discovery_injection: RelationshipInjection,
-    /// Delta batches applied on top of the originally fitted state, in
-    /// application order (see [`LevaModel::append_rows`]). Persisted as
-    /// `DELT` artifact chunks and replayed on load.
-    pub deltas: Vec<crate::delta::DeltaRecord>,
-    /// Byte snapshot of the artifact *before* the first delta was applied —
-    /// the `base` of the persisted `base + deltas` chain. `None` until the
-    /// first append (and for replacement-store clones, which serialize
-    /// their current state directly).
-    pub(crate) base_artifact: Option<Vec<u8>>,
     /// Lazily built serving featurizer (see [`LevaModel::featurizer`]).
     /// Not serialized: artifacts stay byte-identical and the cache is
     /// rebuilt on first featurization after a load.
@@ -183,8 +174,6 @@ impl Clone for LevaModel {
             ingest: self.ingest.clone(),
             discovered: self.discovered.clone(),
             discovery_injection: self.discovery_injection,
-            deltas: self.deltas.clone(),
-            base_artifact: self.base_artifact.clone(),
             featurizer: OnceLock::new(),
         }
     }
@@ -211,12 +200,6 @@ impl LevaModel {
             ingest: self.ingest.clone(),
             discovered: self.discovered.clone(),
             discovery_injection: self.discovery_injection,
-            // A replacement store invalidates the base+deltas replay chain
-            // (replaying deltas against the base could never reproduce the
-            // substituted vectors), so the clone serializes its *current*
-            // state directly instead of carrying the chain.
-            deltas: Vec::new(),
-            base_artifact: None,
             featurizer: OnceLock::new(),
         }
     }
@@ -471,8 +454,6 @@ fn run_pipeline(
         ingest: Vec::new(),
         discovered,
         discovery_injection,
-        deltas: Vec::new(),
-        base_artifact: None,
         featurizer: OnceLock::new(),
     })
 }

@@ -75,7 +75,8 @@ impl From<std::io::Error> for ServeError {
 pub struct AppendOutcome {
     /// Swap epoch of the patched model.
     pub version: u64,
-    /// Artifact checksum of the patched model (its base + deltas chain).
+    /// Artifact checksum of the patched model: the CRC-32 of exactly the
+    /// bytes [`LevaModel::save`] would write for it.
     pub checksum: u32,
     /// The model-level append report.
     pub report: AppendReport,
@@ -125,7 +126,7 @@ impl Engine {
     pub fn new(model: LevaModel, config: ServeConfig) -> Result<Arc<Engine>, ServeError> {
         config.validate().map_err(ServeError::Protocol)?;
         let engine = Arc::new(Engine {
-            handle: ModelHandle::new(ServingModel::prepare(model, 1)),
+            handle: ModelHandle::new(ServingModel::prepare(model)),
             metrics: Metrics::new(),
             queue: Mutex::new(QueueState {
                 items: VecDeque::new(),
@@ -236,9 +237,9 @@ impl Engine {
             self.metrics.swaps_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(ServeError::Artifact(e));
         }
-        let stamp = self.handle.swap_with(|version| {
-            ServingModel::prepare_mapped(model, version, checksum, artifact_bytes)
-        });
+        let stamp = self
+            .handle
+            .swap_with(|| ServingModel::prepare_mapped(model, checksum, artifact_bytes));
         self.metrics.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(stamp)
     }
@@ -383,11 +384,10 @@ impl Engine {
         );
         let _ = write!(
             out,
-            ",\"appends\":{{\"applied\":{},\"rejected\":{},\"rows\":{},\"pending_deltas\":{}}}",
+            ",\"appends\":{{\"applied\":{},\"rejected\":{},\"rows\":{}}}",
             m.appends.load(Ordering::Relaxed),
             m.appends_rejected.load(Ordering::Relaxed),
-            m.rows_appended.load(Ordering::Relaxed),
-            model.model.deltas.len()
+            m.rows_appended.load(Ordering::Relaxed)
         );
         out.push('}');
         out

@@ -24,7 +24,9 @@
 //!   the pinned model, runs the library's delta-ingestion path — graph
 //!   patch, RETRO-style embedding retrofit, targeted featurizer-slot
 //!   patch — and publishes the patched model as the next epoch while the
-//!   previous one keeps serving.
+//!   previous one keeps serving. Its checksum is the CRC-32 of exactly
+//!   the artifact `LevaModel::save` would write for it, computed before
+//!   the swap takes its write lock.
 //! * **Metrics.** `/metrics` reports latency percentiles, rows/s, the
 //!   coalesced batch-size distribution, queue depth, serving-cache
 //!   bytes, and swap/append counters ([`Metrics`]).

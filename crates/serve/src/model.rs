@@ -45,24 +45,26 @@ impl io::Write for CrcCountingWriter {
 pub struct ServingModel {
     /// The fitted pipeline artifact.
     pub model: LevaModel,
-    /// Monotonically increasing swap epoch; the initially loaded model is
-    /// version 1 and every successful swap increments it.
+    /// Monotonically increasing swap epoch, assigned by the
+    /// [`ModelHandle`] that installs the model: the initially loaded model
+    /// is version 1 and every successful swap increments it.
     pub version: u64,
-    /// CRC-32 of the model's serialized artifact bytes — lets clients
-    /// correlate a response with exactly one artifact even across swaps
-    /// back and forth between the same two files.
+    /// CRC-32 of exactly the artifact bytes [`LevaModel::save`] writes for
+    /// this model — lets clients correlate a response with exactly one
+    /// artifact even across swaps back and forth between the same two
+    /// files.
     pub checksum: u32,
     /// Size of the serialized artifact in bytes (surfaced in `/metrics`).
     pub artifact_bytes: usize,
 }
 
 impl ServingModel {
-    /// Prepares `model` for serving under the given epoch: streams the
-    /// artifact encoding through a hashing sink to fingerprint it (no
-    /// full serialized copy is ever held, so preparing a large model no
-    /// longer doubles peak RSS) and warms the featurizer cache so the
-    /// first request does not pay the cache build.
-    pub fn prepare(model: LevaModel, version: u64) -> Self {
+    /// Prepares `model` for serving: streams the artifact encoding
+    /// through a hashing sink to fingerprint it (no full serialized copy
+    /// is ever held, so preparing a large model does not double peak RSS)
+    /// and warms the featurizer cache so the first request does not pay
+    /// the cache build. The version is assigned at install.
+    pub fn prepare(model: LevaModel) -> Self {
         let mut sink = CrcCountingWriter::new();
         // The sink never fails, and encoding is infallible once the
         // model exists, so the expect is unreachable in practice.
@@ -76,7 +78,7 @@ impl ServingModel {
         let _ = model.featurizer();
         Self {
             model,
-            version,
+            version: 0,
             checksum,
             artifact_bytes,
         }
@@ -88,16 +90,11 @@ impl ServingModel {
     /// defeat the O(1)-memory load and stamp a *re-serialized* checksum
     /// that need not match the file on disk. Still warms the featurizer
     /// cache like [`ServingModel::prepare`].
-    pub fn prepare_mapped(
-        model: LevaModel,
-        version: u64,
-        checksum: u32,
-        artifact_bytes: usize,
-    ) -> Self {
+    pub fn prepare_mapped(model: LevaModel, checksum: u32, artifact_bytes: usize) -> Self {
         let _ = model.featurizer();
         Self {
             model,
-            version,
+            version: 0,
             checksum,
             artifact_bytes,
         }
@@ -114,8 +111,9 @@ pub struct ModelHandle {
 }
 
 impl ModelHandle {
-    /// Wraps an already-prepared model.
-    pub fn new(initial: ServingModel) -> Self {
+    /// Wraps an already-prepared model as version 1.
+    pub fn new(mut initial: ServingModel) -> Self {
+        initial.version = 1;
         Self {
             current: RwLock::new(Arc::new(initial)),
         }
@@ -133,16 +131,20 @@ impl ModelHandle {
     /// Atomically replaces the served model, assigning it the next epoch.
     /// Returns the `(version, checksum)` stamped onto the new model.
     pub fn swap(&self, model: LevaModel) -> (u64, u32) {
-        self.swap_with(|version| ServingModel::prepare(model, version))
+        self.swap_with(|| ServingModel::prepare(model))
     }
 
     /// Like [`ModelHandle::swap`] but lets the caller choose how the
-    /// replacement is prepared for the next epoch — the mmap swap path
-    /// uses this with [`ServingModel::prepare_mapped`] so a mapped model
-    /// is never re-serialized just to stamp its identity.
-    pub fn swap_with(&self, prepare: impl FnOnce(u64) -> ServingModel) -> (u64, u32) {
+    /// replacement is prepared — the mmap swap path uses this with
+    /// [`ServingModel::prepare_mapped`] so a mapped model is never
+    /// re-serialized just to stamp its identity. `prepare` runs before the
+    /// write lock is taken, so readers keep pinning the current model
+    /// while the replacement is encoded, hashed and warmed; the lock is
+    /// held only to assign the next epoch and install.
+    pub fn swap_with(&self, prepare: impl FnOnce() -> ServingModel) -> (u64, u32) {
+        let mut next = prepare();
         let mut slot = self.current.write().unwrap_or_else(|e| e.into_inner());
-        let next = prepare(slot.version + 1);
+        next.version = slot.version + 1;
         let stamp = (next.version, next.checksum);
         *slot = Arc::new(next);
         stamp

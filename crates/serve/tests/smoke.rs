@@ -11,7 +11,7 @@ use leva_interner::codec::crc32;
 use leva_linalg::Matrix;
 use leva_relational::{Database, Table, Value};
 use leva_serve::json;
-use leva_serve::{wire, Engine, ServeConfig, Server};
+use leva_serve::{wire, Engine, ModelHandle, ServeConfig, Server, ServingModel};
 
 fn db(rows: usize, scale: f64) -> Database {
     let mut db = Database::new();
@@ -475,14 +475,33 @@ fn admin_append_patches_the_served_model() {
     );
     assert_eq!(status, 200);
 
-    // Metrics report the append counters and the pending delta chain.
+    // Metrics report the append counters.
     let (status, doc) = get_json(addr, "/metrics");
     assert_eq!(status, 200);
     let appends = doc.get("appends").unwrap();
     assert_eq!(appends.get("applied").unwrap().as_f64(), Some(1.0));
     assert_eq!(appends.get("rejected").unwrap().as_f64(), Some(1.0));
     assert_eq!(appends.get("rows").unwrap().as_f64(), Some(1.0));
-    assert_eq!(appends.get("pending_deltas").unwrap().as_f64(), Some(1.0));
 
     server.shutdown();
+}
+
+/// A swap encodes, hashes and warms its replacement before taking the
+/// write lock, so readers pinning the current model never wait for it.
+#[test]
+fn readers_do_not_wait_for_a_swap_to_prepare() {
+    let handle = Arc::new(ModelHandle::new(ServingModel::prepare(fit(&db(12, 1.0)))));
+    let next = fit(&db(12, 2.0));
+    let (version, _) = handle.swap_with(|| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = Arc::clone(&handle);
+        std::thread::spawn(move || tx.send(reader.current().version));
+        let seen = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("handle.current() blocked while the swap prepared");
+        assert_eq!(seen, 1);
+        ServingModel::prepare(next)
+    });
+    assert_eq!(version, 2);
+    assert_eq!(handle.current().version, 2);
 }

@@ -574,219 +574,3 @@ fn sentinel_storm_survives_full_pipeline() {
         assert_eq!(model.ingest[0].rows_ingested, 30);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Hostile `DELT` chains: the delta frames appended by incremental ingestion
-// (DESIGN.md §6.16) get the same contract as every other chunk — truncation,
-// CRC-repatched bit flips, inflated counts, and records referencing tables or
-// arities the base model does not have must all produce a typed
-// `ArtifactError`, never a panic or an unbounded allocation.
-// ---------------------------------------------------------------------------
-
-/// Fitted model, its delta-free base artifact, and a one-link chain produced
-/// by a real `append_rows` — the shared fixture for the DELT tests.
-fn chained_fixture() -> (Vec<u8>, Vec<u8>) {
-    use leva_relational::Value;
-    let mut model = Leva::with_config(LevaConfig::fast())
-        .base_table("t")
-        .fit_csv(&[("t", "id,grp,v\na,x,1\nb,y,2\nc,x,3\nd,y,4\ne,x,5\n")])
-        .unwrap();
-    let base = model.to_bytes();
-    model
-        .append_rows("t", &[vec!["f".into(), "y".into(), Value::Float(6.0)]])
-        .unwrap();
-    (base, model.to_bytes())
-}
-
-/// Appends one `DELT` frame carrying `payload` to a v3 artifact, patching the
-/// header chunk count and computing the frame CRC/padding the way the writer
-/// does — so the corruption under test is the *payload*, not the framing.
-fn splice_delt_frame(artifact: &[u8], payload: &[u8]) -> Vec<u8> {
-    use leva_interner::codec::crc32;
-    let mut out = artifact.to_vec();
-    let count = u32::from_le_bytes(out[8..12].try_into().unwrap());
-    out[8..12].copy_from_slice(&(count + 1).to_le_bytes());
-    out.extend_from_slice(b"DELT");
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    let pad = (8 - ((out.len() + 4) % 8)) % 8;
-    out.extend_from_slice(&(pad as u32).to_le_bytes());
-    out.extend(std::iter::repeat_n(0u8, pad));
-    out.extend_from_slice(payload);
-    out
-}
-
-/// Hand-encodes a raw delta payload: length-prefixed table name, declared
-/// row/column counts, then raw cell bytes — letting tests declare counts
-/// that disagree with the bytes that follow.
-fn raw_delta(table: &str, n_rows: u32, n_cols: u32, cells: &[u8]) -> Vec<u8> {
-    let mut p = Vec::new();
-    p.extend_from_slice(&(table.len() as u32).to_le_bytes());
-    p.extend_from_slice(table.as_bytes());
-    p.extend_from_slice(&n_rows.to_le_bytes());
-    p.extend_from_slice(&n_cols.to_le_bytes());
-    p.extend_from_slice(cells);
-    p
-}
-
-/// Every truncation of the chain that cuts into the delta region must fail
-/// with a typed error — the header still promises the base count plus one
-/// `DELT` chunk, so no prefix of the chain is a valid artifact.
-#[test]
-fn truncated_delt_chain_fails_typed() {
-    use leva::LevaModel;
-    let (base, chain) = chained_fixture();
-    assert!(chain.len() > base.len(), "append must extend the artifact");
-    let mut failures = Vec::new();
-    for cut in base.len()..chain.len() {
-        match catch_unwind(AssertUnwindSafe(|| LevaModel::from_bytes(&chain[..cut]))) {
-            Err(_) => failures.push(format!("cut {cut}: panicked")),
-            Ok(Ok(_)) => failures.push(format!("cut {cut}: truncated chain decoded")),
-            Ok(Err(_)) => {}
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "truncation failures:\n{}",
-        failures.join("\n")
-    );
-}
-
-/// Seeded bit flips inside the `DELT` payload with the frame CRC re-patched,
-/// so the corruption reaches the record decoder and the replay path. Every
-/// case must produce a typed error or a model that still serves — and any
-/// chain that decodes must re-save byte-identically (the fixed point holds
-/// even for mutated-but-valid records).
-#[test]
-fn hostile_delt_payload_never_panics() {
-    use leva::LevaModel;
-    use leva_interner::codec::crc32;
-
-    let (_, chain) = chained_fixture();
-    let (crc_off, start, len) =
-        find_chunk(&chain, b"DELT").expect("chained artifact carries a DELT frame");
-    assert!(len > 0);
-
-    let mut failures = Vec::new();
-    for case in 0..40u64 {
-        let mut rng = StdRng::seed_from_u64(0xDE17 + case);
-        let mut bytes = chain.clone();
-        for _ in 0..rng.gen_range(1usize..12) {
-            let pos = start + rng.gen_range(0..len);
-            bytes[pos] = rng.gen_range(0u32..256) as u8;
-        }
-        let crc = crc32(&bytes[start..start + len]);
-        bytes[crc_off..crc_off + 4].copy_from_slice(&crc.to_le_bytes());
-        match catch_unwind(AssertUnwindSafe(|| LevaModel::from_bytes(&bytes))) {
-            Err(_) => failures.push(format!("DELT case {case}: panicked decoding")),
-            Ok(Ok(loaded)) => {
-                if catch_unwind(AssertUnwindSafe(|| {
-                    let _ =
-                        loaded.featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue));
-                }))
-                .is_err()
-                {
-                    failures.push(format!("DELT case {case}: decoded model panicked serving"));
-                } else if loaded.to_bytes() != bytes {
-                    failures.push(format!("DELT case {case}: decoded chain not a fixed point"));
-                }
-            }
-            Ok(Err(_)) => {}
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "DELT fuzzing failures:\n{}",
-        failures.join("\n")
-    );
-}
-
-/// Crafted `DELT` payloads spliced onto a genuine delta-free artifact with
-/// valid framing: inflated counts must be rejected by the pre-allocation
-/// length gate (typed `LengthOverflow`, no proportional allocation), and
-/// records naming tables, arities, tags, or floats the base model cannot
-/// absorb must fail with a typed decode error — never a panic.
-#[test]
-fn crafted_delt_payloads_fail_typed() {
-    use leva::LevaModel;
-
-    let (base, chain) = chained_fixture();
-    let genuine_payload = {
-        let (_, start, len) = find_chunk(&chain, b"DELT").unwrap();
-        chain[start..start + len].to_vec()
-    };
-    let mut trailing = genuine_payload.clone();
-    trailing.extend_from_slice(&[0xAB, 0xCD]);
-
-    // Cell tags: NULL=0, INT=1, FLOAT=2 (+f64 bits), unknown=200.
-    let mut nan_cell = vec![2u8];
-    nan_cell.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
-
-    let cases: Vec<(&str, Vec<u8>)> = vec![
-        (
-            "inflated row count",
-            raw_delta("t", u32::MAX, u32::MAX, &[]),
-        ),
-        (
-            "rows beyond the cell bytes",
-            raw_delta("t", 4, 3, &[0, 0, 0]),
-        ),
-        ("unknown cell tag", raw_delta("t", 1, 1, &[200])),
-        ("truncated mid-cell", raw_delta("t", 1, 3, &[1])),
-        ("non-finite float cell", raw_delta("t", 1, 1, &nan_cell)),
-        ("trailing bytes", trailing),
-        ("unknown table", raw_delta("ghost", 1, 1, &[0])),
-        ("wrong arity", raw_delta("t", 1, 1, &[0])),
-        ("empty payload", Vec::new()),
-    ];
-
-    let mut failures = Vec::new();
-    for (label, payload) in &cases {
-        let bytes = splice_delt_frame(&base, payload);
-        match catch_unwind(AssertUnwindSafe(|| LevaModel::from_bytes(&bytes))) {
-            Err(_) => failures.push(format!("{label}: panicked")),
-            Ok(Ok(_)) => failures.push(format!("{label}: hostile delta decoded")),
-            Ok(Err(e)) => {
-                let msg = format!("{e:?}");
-                if !msg.contains("DELT") {
-                    failures.push(format!("{label}: error does not name DELT: {msg}"));
-                }
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "crafted DELT failures:\n{}",
-        failures.join("\n")
-    );
-}
-
-/// A `DELT` frame whose table-name bytes were flipped (CRC re-patched) on a
-/// *real* chain: the record decodes structurally but references a table the
-/// base model does not have — replay must fail with a typed decode error,
-/// through both the eager and the mmap loading paths.
-#[test]
-fn delt_unknown_table_on_real_chain_is_typed() {
-    use leva::LevaModel;
-    use leva_interner::codec::crc32;
-
-    let (_, chain) = chained_fixture();
-    let (crc_off, start, len) = find_chunk(&chain, b"DELT").unwrap();
-    let table_len = u32::from_le_bytes(chain[start..start + 4].try_into().unwrap()) as usize;
-    assert!(table_len >= 1);
-    let mut bytes = chain.clone();
-    bytes[start + 4] = b'z'; // "t" -> "z": structurally valid, unknown table
-    let crc = crc32(&bytes[start..start + len]);
-    bytes[crc_off..crc_off + 4].copy_from_slice(&crc.to_le_bytes());
-
-    let err = LevaModel::from_bytes(&bytes).expect_err("unknown table must not replay");
-    let msg = format!("{err:?}");
-    assert!(msg.contains("DELT"), "unexpected error: {msg}");
-
-    // The mmap entry point replays deltas heap-side and must reject too.
-    let path = std::env::temp_dir().join(format!("leva_bad_delt_{}.leva", std::process::id()));
-    std::fs::write(&path, &bytes).unwrap();
-    let mapped = LevaModel::load_mmap(&path);
-    assert!(mapped.is_err(), "mapped load must reject the hostile chain");
-    std::fs::remove_file(&path).unwrap();
-}

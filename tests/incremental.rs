@@ -1,6 +1,6 @@
 //! Incremental-maintenance suite (DESIGN.md §6.16): `append_rows` must
 //! patch the model in place deterministically, keep every derived cache
-//! coherent, persist as a replayable `base + deltas` chain, and define
+//! coherent, save as one plain artifact of the patched state, and define
 //! (not panic on) out-of-histogram numerics.
 
 use leva::{
@@ -235,63 +235,89 @@ fn append_is_bitwise_identical_across_thread_counts() {
     }
 }
 
-/// Tentpole: a model with pending deltas persists as base + `DELT` chunks,
-/// and save → load → save is a byte-for-byte fixed point (1- and 2-link
-/// chains).
+/// Fits, appends two batches to `base` and one to `aux` (cache warmed
+/// first, so the appends take the slot-patch path), and saves to `name`.
+/// Returns the patched model, the path and the saved bytes.
+fn appended_and_saved(name: &str) -> (LevaModel, std::path::PathBuf, Vec<u8>) {
+    let mut model = fit();
+    base_features(&model);
+    model.append_rows("base", &batch_one()).unwrap();
+    model
+        .append_rows("aux", &[vec!["e40".into(), "t1".into()]])
+        .unwrap();
+    model.append_rows("base", &batch_two()).unwrap();
+    let path = temp_path(name);
+    model.save(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    (model, path, bytes)
+}
+
+/// Tentpole (compaction oracle): an appended model saves as one plain
+/// artifact of its current state. Heap and mapped loads both featurize
+/// bitwise like a cold-cache clone of the patched model, and within 1e-12
+/// of the patched model itself.
+#[test]
+fn save_compacts_appended_models() {
+    let (model, path, _) = appended_and_saved("compact");
+    let heap = LevaModel::load(&path).unwrap();
+    let mapped = LevaModel::load_mmap(&path).unwrap();
+
+    let cold = model.clone();
+    let mut ext = Table::new("ext", vec!["id", "grp", "amount"]);
+    ext.push_row(vec!["e42".into(), "c".into(), Value::Float(20.0)])
+        .unwrap();
+    ext.push_row(vec!["unseen".into(), "z".into(), Value::Float(1.0e6)])
+        .unwrap();
+    let requests = [
+        FeaturizeRequest::base_all(Featurization::RowPlusValue),
+        FeaturizeRequest::base_rows(vec![0, 40, 42], Featurization::RowPlusValue),
+        FeaturizeRequest::external(ext, Featurization::RowPlusValue),
+    ];
+    for (i, request) in requests.iter().enumerate() {
+        let want = cold.featurize(request).unwrap();
+        let patched = model.featurize(request).unwrap();
+        for (label, loaded) in [("heap", &heap), ("mmap", &mapped)] {
+            let got = loaded.featurize(request).unwrap();
+            assert_eq!(got.rows(), want.rows());
+            for (x, y) in got.data().iter().zip(want.data()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{label} load, request {i}");
+            }
+            assert_matrices_close(&got, &patched, 1e-12);
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Compaction oracle: after a chain of appends, save → load → save is a
+/// byte-for-byte fixed point through both loaders, and the artifact
+/// carries no `DELT` chunk.
 #[test]
 fn save_load_save_is_a_fixed_point_for_chained_artifacts() {
-    let mut model = fit();
-    let base_bytes = model.to_bytes();
-    assert!(!contains_delt(&base_bytes));
-
-    model.append_rows("base", &batch_one()).unwrap();
-    let one_link = model.to_bytes();
-    assert!(contains_delt(&one_link));
-    // The chain starts with the pre-append base snapshot, chunk count aside.
-    assert_eq!(&one_link[12..base_bytes.len()], &base_bytes[12..]);
-    let reloaded = LevaModel::from_bytes(&one_link).unwrap();
-    assert_eq!(reloaded.to_bytes(), one_link, "1-link fixed point");
-
-    model.append_rows("base", &batch_two()).unwrap();
-    let two_links = model.to_bytes();
-    let reloaded = LevaModel::from_bytes(&two_links).unwrap();
-    assert_eq!(reloaded.to_bytes(), two_links, "2-link fixed point");
-    assert_eq!(&two_links[..one_link.len()][12..], &one_link[12..]);
-
-    // Replay reconstructs the post-append model exactly.
-    let a = base_features(&model);
-    let b = base_features(&reloaded);
-    assert_eq!(a.rows(), 43);
-    for (x, y) in a.data().iter().zip(b.data()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "replayed features diverged");
-    }
+    let (model, path, bytes) = appended_and_saved("fixed_point");
+    assert_eq!(model.to_bytes(), bytes, "to_bytes matches save");
+    assert!(!bytes.windows(4).any(|w| w == b"DELT"));
+    let heap = LevaModel::load(&path).unwrap();
+    let mapped = LevaModel::load_mmap(&path).unwrap();
+    assert_eq!(heap.to_bytes(), bytes, "heap save→load→save");
+    assert_eq!(mapped.to_bytes(), bytes, "mmap save→load→save");
+    std::fs::remove_file(&path).ok();
 }
 
-fn contains_delt(bytes: &[u8]) -> bool {
-    bytes.windows(4).any(|w| w == b"DELT")
-}
-
-/// Tentpole: the mmap path replays deltas heap-side and matches the eager
-/// loader; a delta-free artifact keeps serving zero-copy.
+/// Compaction oracle, mmap leg: the appended rows are already folded into
+/// the saved base, so the mapped load replays nothing, stays zero-copy and
+/// featurizes bitwise like the heap load, appended rows included.
 #[test]
 fn mmap_load_replays_deltas_heap_side() {
-    let mut model = fit();
-    model.append_rows("base", &batch_one()).unwrap();
-    let path = temp_path("chain");
-    model.save(&path).unwrap();
-
-    let eager = LevaModel::load(&path).unwrap();
+    let (_, path, _) = appended_and_saved("mmap");
+    let heap = LevaModel::load(&path).unwrap();
     let mapped = LevaModel::load_mmap(&path).unwrap();
-    // Replay mutates the graph/store, so the chain cannot stay zero-copy.
-    assert!(!mapped.store.is_mapped());
-    assert!(!mapped.graph.is_mapped());
-    let a = base_features(&eager);
+    assert!(mapped.store.is_mapped() && mapped.graph.is_mapped());
+    let a = base_features(&heap);
     let b = base_features(&mapped);
+    assert_eq!(a.rows(), 43);
     for (x, y) in a.data().iter().zip(b.data()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "mmap replay diverged");
+        assert_eq!(x.to_bits(), y.to_bits(), "mapped load diverged");
     }
-    // And the loaded chain still saves back to the identical bytes.
-    assert_eq!(mapped.to_bytes(), std::fs::read(&path).unwrap());
     std::fs::remove_file(&path).ok();
 }
 
@@ -331,7 +357,7 @@ fn append_onto_a_mapped_model_materializes_then_patches() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Appending zero rows is a no-op: no graph change, no delta link.
+/// Appending zero rows is a no-op: no graph change, identical artifact.
 #[test]
 fn empty_append_is_a_noop() {
     let mut model = fit();
