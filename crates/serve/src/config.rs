@@ -1,7 +1,8 @@
-//! Serving-daemon configuration: the coalescing, capacity, and protocol
-//! knobs (DESIGN.md §6.12).
-
-use std::time::Duration;
+//! Serving-daemon configuration: the batch, capacity, and protocol
+//! knobs (DESIGN.md §6.12). Coalescing has no wait budget: a batch worker
+//! takes whatever is queued when it pops, so a lone request never waits
+//! for company, and requests that arrive while a batch runs merge into
+//! the next one.
 
 /// Configuration for the serving daemon and its coalescing engine.
 #[derive(Debug, Clone)]
@@ -9,13 +10,9 @@ pub struct ServeConfig {
     /// Listen address (`host:port`; port `0` asks the OS for an ephemeral
     /// port, the shape tests use).
     pub addr: String,
-    /// Maximum rows accumulated into one coalesced featurize call before
-    /// the batch flushes regardless of the wait budget.
+    /// Row budget of one coalesced featurize call: a worker stops taking
+    /// queued requests into its batch once they reach this many rows.
     pub max_batch_rows: usize,
-    /// How long a batch worker holds the first queued request open for
-    /// more arrivals before flushing (the `max-wait-µs` knob; latency
-    /// ceiling added by coalescing).
-    pub max_wait: Duration,
     /// Bounded queue capacity in *requests*; arrivals beyond it are
     /// rejected with an overload error instead of growing memory.
     pub queue_capacity: usize,
@@ -24,9 +21,10 @@ pub struct ServeConfig {
     /// uses every core; more workers trade coalescing opportunity for
     /// pipeline overlap.
     pub batch_workers: usize,
-    /// Maximum accepted HTTP body / binary frame size in bytes (model
-    /// artifacts arrive through `/admin/swap`, so this bounds swap size
-    /// too).
+    /// Maximum accepted HTTP body / binary frame size in bytes. Model
+    /// artifacts posted to `/admin/swap` arrive as a body, so this also
+    /// caps the size of an artifact swapped in by bytes; swap a larger one
+    /// by path (`{"path": ...}`), which maps the file instead.
     pub max_body_bytes: usize,
     /// Maximum concurrently served connections; excess connections get an
     /// immediate 503 and are closed.
@@ -38,10 +36,9 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:7878".to_owned(),
             max_batch_rows: 512,
-            max_wait: Duration::from_micros(2_000),
             queue_capacity: 4_096,
             batch_workers: 1,
-            max_body_bytes: 256 << 20,
+            max_body_bytes: 64 << 20,
             max_connections: 256,
         }
     }
@@ -71,12 +68,6 @@ impl ServeConfig {
     /// Sets the listen address.
     pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
         self.addr = addr.into();
-        self
-    }
-
-    /// Sets the coalescing wait budget in microseconds.
-    pub fn with_max_wait_us(mut self, us: u64) -> Self {
-        self.max_wait = Duration::from_micros(us);
         self
     }
 

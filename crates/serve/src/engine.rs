@@ -1,6 +1,8 @@
 //! The coalescing engine: a bounded request queue drained by batch
 //! workers that merge compatible featurize requests into single model
-//! calls, executed against a hot-swappable model pinned per batch.
+//! calls, executed against a hot-swappable model pinned per batch. A
+//! worker never waits for more requests: it takes what is queued when it
+//! pops, so merges come from requests that arrive while a batch runs.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -94,6 +96,9 @@ pub struct FeatResponse {
     pub matrix: Matrix,
 }
 
+/// Where a queued request's result is delivered.
+type Response = mpsc::Receiver<Result<FeatResponse, ServeError>>;
+
 struct Pending {
     request: FeaturizeRequest,
     tx: mpsc::SyncSender<Result<FeatResponse, ServeError>>,
@@ -164,28 +169,39 @@ impl Engine {
     /// Submits one featurize request and blocks until its batch executes.
     /// Fails fast with [`ServeError::Overloaded`] when the queue is full.
     pub fn submit(&self, request: FeaturizeRequest) -> Result<FeatResponse, ServeError> {
-        let (tx, rx) = mpsc::sync_channel(1);
-        {
+        let rx = {
             let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if !q.open {
-                return Err(ServeError::ShuttingDown);
-            }
-            if q.items.len() >= self.config.queue_capacity {
-                return Err(ServeError::Overloaded);
-            }
-            q.items.push_back(Pending {
-                request,
-                tx,
-                enqueued: Instant::now(),
-            });
-            self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-            self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        }
+            self.enqueue(&mut q, request)?
+        };
         self.not_empty.notify_one();
         match rx.recv() {
             Ok(result) => result,
             Err(_) => Err(ServeError::ShuttingDown),
         }
+    }
+
+    /// Queues one request under the caller's queue lock and returns the
+    /// channel its response arrives on.
+    fn enqueue(
+        &self,
+        q: &mut QueueState,
+        request: FeaturizeRequest,
+    ) -> Result<Response, ServeError> {
+        if !q.open {
+            return Err(ServeError::ShuttingDown);
+        }
+        if q.items.len() >= self.config.queue_capacity {
+            return Err(ServeError::Overloaded);
+        }
+        let (tx, rx) = mpsc::sync_channel(1);
+        q.items.push_back(Pending {
+            request,
+            tx,
+            enqueued: Instant::now(),
+        });
+        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        Ok(rx)
     }
 
     /// Decodes `bytes` as a model artifact and hot-swaps it in. On decode
@@ -304,7 +320,6 @@ impl Engine {
         use std::fmt::Write as _;
         let m = &self.metrics;
         let model = self.current_model();
-        let latency = m.latency_snapshot();
         let batch = m.batch_rows_snapshot();
         let mut out = String::with_capacity(1024);
         out.push('{');
@@ -313,14 +328,19 @@ impl Engine {
         let _ = write!(out, ",\"rows\":{}", m.rows.load(Ordering::Relaxed));
         let _ = write!(out, ",\"errors\":{}", m.errors.load(Ordering::Relaxed));
         let _ = write!(out, ",\"rows_per_s\":{:.3}", m.rows_per_s());
-        let _ = write!(
-            out,
-            ",\"latency_us\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            latency.count(),
-            latency.quantile(0.50),
-            latency.quantile(0.95),
-            latency.quantile(0.99)
-        );
+        for (name, hist) in [
+            ("latency_us", m.latency_snapshot()),
+            ("write_us", m.write_snapshot()),
+        ] {
+            let _ = write!(
+                out,
+                ",\"{name}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+                hist.count(),
+                hist.quantile(0.50),
+                hist.quantile(0.95),
+                hist.quantile(0.99)
+            );
+        }
         let _ = write!(out, ",\"batches\":{}", m.batches.load(Ordering::Relaxed));
         out.push_str(",\"batch_rows\":[");
         for (i, (lo, count)) in batch.buckets().iter().enumerate() {
@@ -413,35 +433,16 @@ impl Engine {
                     Some(p) => p,
                     None => return, // closed and drained
                 };
-                let deadline = Instant::now() + self.config.max_wait;
                 let mut rows = self.budget_rows(&first.request);
                 let mut batch = vec![first];
-                // Hold the first request open for more arrivals until the
-                // wait budget expires or the batch fills.
-                loop {
-                    if rows >= self.config.max_batch_rows {
+                // Take whatever else is already queued, up to the row
+                // budget, and execute at once.
+                while rows < self.config.max_batch_rows {
+                    let Some(next) = q.items.pop_front() else {
                         break;
-                    }
-                    if let Some(next) = q.items.pop_front() {
-                        rows += self.budget_rows(&next.request);
-                        batch.push(next);
-                        continue;
-                    }
-                    if !q.open {
-                        break; // draining: flush immediately
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = self
-                        .not_empty
-                        .wait_timeout(q, deadline - now)
-                        .unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                    if timeout.timed_out() && q.items.is_empty() {
-                        break;
-                    }
+                    };
+                    rows += self.budget_rows(&next.request);
+                    batch.push(next);
                 }
                 batch
             };
@@ -659,4 +660,80 @@ fn slice_rows(m: &Matrix, start: usize, len: usize) -> Matrix {
         out.row_mut(i).copy_from_slice(m.row(start + i));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use leva::{Leva, LevaConfig};
+    use leva_relational::Database;
+
+    fn fitted() -> LevaModel {
+        let mut db = Database::new();
+        let mut base = Table::new("base", vec!["id", "grp", "amount", "target"]);
+        let mut aux = Table::new("aux", vec!["id", "tag"]);
+        for i in 0..24 {
+            base.push_row(vec![
+                format!("e{i}").into(),
+                ["a", "b", "c"][i % 3].into(),
+                Value::Float(i as f64),
+                Value::Int((i % 2) as i64),
+            ])
+            .unwrap();
+            aux.push_row(vec![format!("e{i}").into(), format!("t{}", i % 5).into()])
+                .unwrap();
+        }
+        db.add_table(base).unwrap();
+        db.add_table(aux).unwrap();
+        Leva::with_config(LevaConfig::fast())
+            .base_table("base")
+            .target("target")
+            .fit(&db)
+            .unwrap()
+    }
+
+    /// Requests queued before a worker can pop are one batch: holding the
+    /// queue lock while enqueuing makes the merge deterministic, and each
+    /// slice of the merged call must equal the request featurized alone.
+    #[test]
+    fn queued_requests_coalesce_into_one_batch() {
+        let model = fitted();
+        let requests: Vec<FeaturizeRequest> = (0..8)
+            .map(|i| FeaturizeRequest::base_rows(vec![i, 23 - i], Featurization::RowOnly))
+            .collect();
+        let expected: Vec<Matrix> = requests
+            .iter()
+            .map(|r| model.featurize(r).unwrap())
+            .collect();
+        let engine = Engine::new(model, ServeConfig::default()).unwrap();
+
+        let responses: Vec<Response> = {
+            let mut q = engine.queue.lock().unwrap();
+            requests
+                .into_iter()
+                .map(|r| engine.enqueue(&mut q, r).unwrap())
+                .collect()
+        };
+        engine.not_empty.notify_all();
+        for (rx, want) in responses.iter().zip(&expected) {
+            let got = rx.recv().unwrap().unwrap().matrix;
+            assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+            for (x, y) in got.data().iter().zip(want.data()) {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+
+        let m = engine.metrics();
+        let batches = m.batches.load(Ordering::Relaxed);
+        let requests = m.requests.load(Ordering::Relaxed);
+        assert!(
+            batches < requests,
+            "no coalescing happened: batches={batches} requests={requests}"
+        );
+        assert_eq!(batches, 1);
+        // All 16 rows went through one call: the histogram's only bucket
+        // is [16, 32), above any single request's two rows.
+        assert_eq!(m.batch_rows_snapshot().buckets(), vec![(16, 1)]);
+        engine.shutdown();
+    }
 }

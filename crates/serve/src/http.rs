@@ -4,20 +4,119 @@
 //! under a hard cap, and the admin surface (`/metrics`, `/healthz`,
 //! `/admin/swap`, `/admin/append`, `/admin/shutdown`).
 //!
+//! Every accepted socket sets `TCP_NODELAY` and sends each response with
+//! one write, so no response waits on the client's delayed ACK. Reads and
+//! writes run under deadlines, so a client that stalls or trickles bytes
+//! loses its connection instead of holding a slot forever.
+//!
 //! Hand-rolled on `std::net` — the workspace builds offline with no HTTP
 //! or async dependencies, and the server needs exactly six routes.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::engine::{Engine, ServeError};
 use crate::wire;
 
 const MAX_HEAD_BYTES: usize = 16 << 10;
+
+/// How long a connection may sit idle before its first request and
+/// between requests.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Deadline for a request head (the HTTP head, or the binary magic and
+/// length prefix), counted from its first byte.
+const HEAD_TIMEOUT: Duration = Duration::from_secs(10);
+/// Deadline for a request body, counted from the end of its head. Longer
+/// than the head's: `/admin/swap` bodies carry whole artifacts.
+const BODY_TIMEOUT: Duration = Duration::from_secs(30);
+/// Deadline for writing one response.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A socket half whose reads and writes fail once `deadline` passes,
+/// however the peer paces its bytes: every call re-arms the socket timeout
+/// to the time left.
+struct Deadlined {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Deadlined {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            deadline: Instant::now(),
+        }
+    }
+
+    /// Starts a new phase that must finish within `budget`.
+    fn arm(&mut self, budget: Duration) {
+        self.deadline = Instant::now() + budget;
+    }
+
+    fn time_left(&self) -> io::Result<Duration> {
+        match self.deadline.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => Ok(left),
+            _ => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "connection deadline passed",
+            )),
+        }
+    }
+
+    /// Writes one whole response within [`WRITE_TIMEOUT`].
+    fn send(&mut self, response: &[u8]) -> io::Result<()> {
+        self.arm(WRITE_TIMEOUT);
+        self.write_all(response)
+    }
+}
+
+impl Read for Deadlined {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.time_left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for Deadlined {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.time_left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Waits up to [`IDLE_TIMEOUT`] for the first byte of the next request,
+/// then arms [`HEAD_TIMEOUT`] for its head. False when the client closed
+/// or idled out between requests: both end the session cleanly.
+fn await_request(reader: &mut BufReader<Deadlined>) -> io::Result<bool> {
+    reader.get_mut().arm(IDLE_TIMEOUT);
+    let arrived = match reader.fill_buf() {
+        Ok(buffered) => !buffered.is_empty(),
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) =>
+        {
+            false
+        }
+        Err(e) => return Err(e),
+    };
+    reader.get_mut().arm(HEAD_TIMEOUT);
+    Ok(arrived)
+}
+
+fn elapsed_us(since: Instant) -> u64 {
+    since.elapsed().as_micros() as u64
+}
 
 /// A running server: the listener thread plus a shared [`Engine`].
 pub struct Server {
@@ -120,8 +219,11 @@ fn serve_connection(
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
 ) -> Result<(), ServeError> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
     let mut magic = [0u8; 4];
     let mut seen = 0;
+    let mut magic_deadline = None;
     // peek returns however many bytes are buffered; wait for all four
     // before deciding (a client may dribble the magic byte-by-byte).
     while seen < 4 {
@@ -138,41 +240,47 @@ fn serve_connection(
                 break; // already disagrees with the magic → HTTP
             }
             // Prefix matches but the client hasn't sent all four bytes;
-            // peek returns immediately, so back off instead of spinning.
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            // peek returns immediately, so back off instead of spinning,
+            // and give up once the head deadline passes.
+            let deadline = *magic_deadline.get_or_insert_with(|| Instant::now() + HEAD_TIMEOUT);
+            if Instant::now() >= deadline {
+                return Err(ServeError::Protocol("binary magic timed out".into()));
+            }
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
+    let writer = Deadlined::new(stream.try_clone()?);
+    let mut reader = BufReader::new(Deadlined::new(stream));
+    reader.get_mut().arm(HEAD_TIMEOUT);
     if seen >= 4 && magic == wire::BINARY_MAGIC {
-        serve_binary(stream, engine, stop)
+        reader.read_exact(&mut magic)?;
+        serve_binary(reader, writer, engine, stop)
     } else {
-        serve_http(stream, engine, stop)
+        serve_http(reader, writer, engine, stop)
     }
 }
 
-/// The binary session loop: consume the magic, then answer
-/// `u32 len | request` frames with `u32 len | response` frames.
+/// The binary session loop: answer `u32 len | request` frames with
+/// `u32 len | response` frames.
 fn serve_binary(
-    mut stream: TcpStream,
+    mut reader: BufReader<Deadlined>,
+    mut writer: Deadlined,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
 ) -> Result<(), ServeError> {
-    let mut magic = [0u8; 4];
-    stream.read_exact(&mut magic)?;
     loop {
-        if stop.load(Ordering::SeqCst) {
+        if stop.load(Ordering::SeqCst) || !await_request(&mut reader)? {
             return Ok(());
         }
-        let payload = match wire::read_frame(&mut stream, engine.config().max_body_bytes) {
-            Ok(p) => p,
-            Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
-                return Ok(()); // clean close between frames
-            }
-            Err(e) => return Err(e),
-        };
+        let len = wire::read_frame_len(&mut reader, engine.config().max_body_bytes)?;
+        reader.get_mut().arm(BODY_TIMEOUT);
+        let payload = wire::read_body(&mut reader, len)?;
         let result =
             wire::decode_binary_request(&payload).and_then(|request| engine.submit(request));
-        let frame = wire::encode_binary_response(&result);
-        wire::write_frame(&mut stream, &frame)?;
+        let frame = wire::encode_binary_response_frame(&result);
+        let started = Instant::now();
+        writer.send(&frame)?;
+        engine.metrics().record_write_us(elapsed_us(started));
     }
 }
 
@@ -186,12 +294,11 @@ struct HttpRequest {
 /// The HTTP session loop: parse request, route, respond, honor
 /// keep-alive.
 fn serve_http(
-    stream: TcpStream,
+    mut reader: BufReader<Deadlined>,
+    mut writer: Deadlined,
     engine: &Arc<Engine>,
     stop: &Arc<AtomicBool>,
 ) -> Result<(), ServeError> {
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
     loop {
         let request = match read_http_request(&mut reader, engine.config().max_body_bytes) {
             Ok(Some(r)) => r,
@@ -205,14 +312,18 @@ fn serve_http(
         let keep_alive = request.keep_alive && !stop.load(Ordering::SeqCst);
         match route(engine, stop, &request) {
             Route::Done(status, content_type, body) => {
+                let started = Instant::now();
                 write_http_response(&mut writer, status, content_type, &body, keep_alive)?;
+                if (request.method.as_str(), request.path.as_str()) == ("POST", "/featurize") {
+                    engine.metrics().record_write_us(elapsed_us(started));
+                }
             }
             Route::Shutdown(body) => {
                 // Respond first so the caller sees the acknowledgement,
                 // then drain: close the engine queue and wake the
                 // acceptor.
                 write_http_response(&mut writer, 200, "application/json", &body, false)?;
-                request_stop(stop, writer.local_addr()?);
+                request_stop(stop, writer.stream.local_addr()?);
                 engine.shutdown();
                 return Ok(());
             }
@@ -324,19 +435,17 @@ fn error_status(e: &ServeError) -> u16 {
     }
 }
 
-/// Parses one HTTP/1.1 request. Returns `Ok(None)` on a clean EOF before
-/// the first byte of a request.
+/// Parses one HTTP/1.1 request. Returns `Ok(None)` on a clean EOF or an
+/// idle timeout before the first byte of a request.
 fn read_http_request(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut BufReader<Deadlined>,
     max_body_bytes: usize,
 ) -> Result<Option<HttpRequest>, ServeError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(ServeError::Io(e)),
+    if !await_request(reader)? {
+        return Ok(None);
     }
+    let mut line = String::new();
+    read_head_line(reader, &mut line, MAX_HEAD_BYTES)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -353,11 +462,8 @@ fn read_http_request(
     let mut head_bytes = line.len();
     loop {
         let mut header = String::new();
-        reader.read_line(&mut header)?;
+        read_head_line(reader, &mut header, MAX_HEAD_BYTES - head_bytes)?;
         head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ServeError::Protocol("request head too large".into()));
-        }
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -393,8 +499,8 @@ fn read_http_request(
             "body of {content_length} bytes exceeds limit {max_body_bytes}"
         )));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    reader.get_mut().arm(BODY_TIMEOUT);
+    let body = wire::read_body(reader, content_length)?;
     Ok(Some(HttpRequest {
         method,
         path,
@@ -403,8 +509,23 @@ fn read_http_request(
     }))
 }
 
+/// Reads one head line into `line`, reading at most `budget` bytes so a
+/// line that never ends cannot grow without bound.
+fn read_head_line(
+    reader: &mut BufReader<Deadlined>,
+    line: &mut String,
+    budget: usize,
+) -> Result<(), ServeError> {
+    let n = reader.take(budget as u64).read_line(line)?;
+    if n == budget && !line.ends_with('\n') {
+        return Err(ServeError::Protocol("request head too large".into()));
+    }
+    Ok(())
+}
+
+/// Sends one response, head and body, in a single write.
 fn write_http_response(
-    writer: &mut TcpStream,
+    writer: &mut Deadlined,
     status: u16,
     content_type: &str,
     body: &[u8],
@@ -418,13 +539,15 @@ fn write_http_response(
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
-    let head = format!(
+    let mut response = Vec::with_capacity(128 + body.len());
+    write!(
+        response,
         "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.write_all(body)?;
-    writer.flush()?;
+    )
+    .expect("writing to a Vec cannot fail");
+    response.extend_from_slice(body);
+    writer.send(&response)?;
     Ok(())
 }

@@ -11,9 +11,11 @@
 //!   protocol ([`wire`]), multiplexed on one port by sniffing the
 //!   4-byte [`BINARY_MAGIC`](wire::BINARY_MAGIC).
 //! * **Request coalescing.** Concurrent requests land in a bounded
-//!   queue; batch workers merge compatible requests (same featurization,
-//!   same schema) into single model calls ([`Engine`]), amortizing
-//!   per-call overhead while a `max_wait` knob bounds the added latency.
+//!   queue; a batch worker takes whatever is queued when it pops, up to
+//!   `max_batch_rows`, and merges compatible requests (same
+//!   featurization, same schema) into single model calls ([`Engine`]).
+//!   There is no wait budget: a lone request executes at once, and
+//!   requests that arrive while a batch runs merge into the next one.
 //! * **Hot model swap.** `/admin/swap` (or SIGHUP in the binary)
 //!   atomically replaces the model ([`ModelHandle`]); in-flight batches
 //!   finish on the model they pinned, every response is stamped with the
@@ -27,9 +29,9 @@
 //!   previous one keeps serving. Its checksum is the CRC-32 of exactly
 //!   the artifact `LevaModel::save` would write for it, computed before
 //!   the swap takes its write lock.
-//! * **Metrics.** `/metrics` reports latency percentiles, rows/s, the
-//!   coalesced batch-size distribution, queue depth, serving-cache
-//!   bytes, and swap/append counters ([`Metrics`]).
+//! * **Metrics.** `/metrics` reports request latency and socket-write
+//!   percentiles, rows/s, the coalesced batch-size distribution, queue
+//!   depth, serving-cache bytes, and swap/append counters ([`Metrics`]).
 //!
 //! Hand-rolled on `std::net` with zero new dependencies — the workspace
 //! builds offline.

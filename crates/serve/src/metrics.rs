@@ -158,6 +158,7 @@ pub struct Metrics {
     /// Total rows absorbed through admin appends.
     pub rows_appended: AtomicU64,
     latency_us: Mutex<LogHistogram>,
+    write_us: Mutex<LogHistogram>,
     batch_rows: Mutex<LogHistogram>,
     rate: RateWindow,
 }
@@ -178,6 +179,7 @@ impl Metrics {
             appends_rejected: AtomicU64::new(0),
             rows_appended: AtomicU64::new(0),
             latency_us: Mutex::new(LogHistogram::default()),
+            write_us: Mutex::new(LogHistogram::default()),
             batch_rows: Mutex::new(LogHistogram::default()),
             rate: RateWindow::new(),
         }
@@ -199,6 +201,17 @@ impl Metrics {
             .record(us.max(1));
     }
 
+    /// Records how long one featurize response took to write to its
+    /// socket (clamped to ≥ 1 µs like [`Self::record_latency_us`]). The
+    /// request latency ends when the response is handed back, so a stalled
+    /// write shows only here.
+    pub fn record_write_us(&self, us: u64) {
+        self.write_us
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .record(us.max(1));
+    }
+
     /// Records the row count of one coalesced featurize call.
     pub fn record_batch_rows(&self, rows: u64) {
         self.batch_rows
@@ -210,6 +223,14 @@ impl Metrics {
     /// Snapshot of the latency histogram.
     pub fn latency_snapshot(&self) -> LogHistogram {
         self.latency_us
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    /// Snapshot of the socket-write histogram.
+    pub fn write_snapshot(&self) -> LogHistogram {
+        self.write_us
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()

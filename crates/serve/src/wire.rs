@@ -380,6 +380,26 @@ pub fn decode_binary_request(payload: &[u8]) -> Result<FeaturizeRequest, ServeEr
 /// Encodes a featurize result as one binary response frame payload.
 pub fn encode_binary_response(result: &Result<FeatResponse, ServeError>) -> Vec<u8> {
     let mut w = ByteWriter::new();
+    put_binary_response(&mut w, result);
+    w.into_bytes()
+}
+
+/// Encodes a featurize result as a whole `u32 len | payload` frame, so
+/// the server sends it with one write: a length written apart from its
+/// payload waits on the peer's delayed ACK (about 40 ms) whenever Nagle's
+/// algorithm holds the second segment. The length slot is reserved up
+/// front and filled in last, so the payload is never copied.
+pub fn encode_binary_response_frame(result: &Result<FeatResponse, ServeError>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_u32(0);
+    put_binary_response(&mut w, result);
+    let mut frame = w.into_bytes();
+    let len = u32::try_from(frame.len() - 4).expect("response payload under 4 GiB");
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame
+}
+
+fn put_binary_response(w: &mut ByteWriter, result: &Result<FeatResponse, ServeError>) {
     match result {
         Ok(resp) => {
             w.put_u8(STATUS_OK);
@@ -387,16 +407,13 @@ pub fn encode_binary_response(result: &Result<FeatResponse, ServeError>) -> Vec<
             w.put_u32(resp.checksum);
             w.put_u32(resp.matrix.rows() as u32);
             w.put_u32(resp.matrix.cols() as u32);
-            for x in resp.matrix.data() {
-                w.put_f64(*x);
-            }
+            w.put_f64_slice(resp.matrix.data());
         }
         Err(e) => {
             w.put_u8(STATUS_ERR);
             w.put_str(&e.to_string());
         }
     }
-    w.into_bytes()
 }
 
 /// Decodes a binary response frame payload (client side; used by the
@@ -434,23 +451,55 @@ pub fn decode_binary_response(payload: &[u8]) -> Result<FeatResponse, ServeError
     Ok(resp)
 }
 
+/// Bytes [`read_frame`] reserves before any payload arrives; past this
+/// the buffer grows only as bytes do, so a length prefix alone cannot make
+/// the reader allocate the size it declares.
+const INITIAL_BODY_CAPACITY: usize = 64 << 10;
+
 /// Reads one `u32 len | payload` frame from a stream, bounding `len`.
 pub fn read_frame(stream: &mut impl std::io::Read, max_len: usize) -> Result<Vec<u8>, ServeError> {
+    let len = read_frame_len(stream, max_len)?;
+    Ok(read_body(stream, len)?)
+}
+
+/// Reads a frame's `u32` length prefix and checks it against `max_len`.
+pub(crate) fn read_frame_len(
+    stream: &mut impl std::io::Read,
+    max_len: usize,
+) -> Result<usize, ServeError> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf) as usize;
     if len > max_len {
         return proto(format!("frame of {len} bytes exceeds limit {max_len}"));
     }
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
+    Ok(len)
 }
 
-/// Writes one `u32 len | payload` frame to a stream.
+/// Reads exactly `len` bytes, growing the buffer as they arrive; a stream
+/// that ends early is an `UnexpectedEof` error.
+pub(crate) fn read_body(stream: &mut impl std::io::Read, len: usize) -> std::io::Result<Vec<u8>> {
+    use std::io::Read as _;
+    let mut body = Vec::with_capacity(len.min(INITIAL_BODY_CAPACITY));
+    stream.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("stream ended {} bytes into a {len}-byte body", body.len()),
+        ));
+    }
+    Ok(body)
+}
+
+/// Writes one `u32 len | payload` frame to a stream in a single write
+/// (see [`encode_binary_response_frame`] for why it must not be two).
 pub fn write_frame(stream: &mut impl std::io::Write, payload: &[u8]) -> Result<(), ServeError> {
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
+    let len = u32::try_from(payload.len())
+        .map_err(|_| ServeError::Protocol("frame payload over 4 GiB".into()))?;
+    let mut frame = Vec::with_capacity(payload.len() + 4);
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     Ok(())
 }
 
@@ -603,6 +652,27 @@ mod tests {
     }
 
     #[test]
+    fn response_frame_is_the_length_then_the_payload() {
+        let mut matrix = Matrix::zeros(3, 2);
+        matrix.row_mut(2).copy_from_slice(&[4.0, -0.5]);
+        for result in [
+            Ok(FeatResponse {
+                version: 2,
+                checksum: 9,
+                matrix,
+            }),
+            Err(ServeError::ShuttingDown),
+        ] {
+            let payload = encode_binary_response(&result);
+            let frame = encode_binary_response_frame(&result);
+            let mut written = Vec::new();
+            write_frame(&mut written, &payload).unwrap();
+            assert_eq!(frame, written);
+            assert_eq!(read_frame(&mut &frame[..], 1 << 20).unwrap(), payload);
+        }
+    }
+
+    #[test]
     fn frames_round_trip_and_bound_length() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
@@ -613,5 +683,71 @@ mod tests {
             read_frame(&mut cursor, 4),
             Err(ServeError::Protocol(_))
         ));
+        // A frame cut short is an EOF error, not a short payload.
+        let mut cursor = &buf[..buf.len() - 1];
+        assert!(matches!(
+            read_frame(&mut cursor, 16),
+            Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        ));
+    }
+
+    /// Records the largest single allocation this test binary requests,
+    /// so a test can show that a declared length was never allocated.
+    struct LargestAllocation;
+
+    static LARGEST_ALLOCATION: std::sync::atomic::AtomicUsize =
+        std::sync::atomic::AtomicUsize::new(0);
+
+    // SAFETY: every method forwards to the system allocator with the
+    // caller's own layout and pointer, only recording the size first.
+    unsafe impl std::alloc::GlobalAlloc for LargestAllocation {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            LARGEST_ALLOCATION.fetch_max(layout.size(), std::sync::atomic::Ordering::Relaxed);
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            LARGEST_ALLOCATION.fetch_max(layout.size(), std::sync::atomic::Ordering::Relaxed);
+            // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+            unsafe { std::alloc::System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from this allocator, which is `System`.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            LARGEST_ALLOCATION.fetch_max(new_size, std::sync::atomic::Ordering::Relaxed);
+            // SAFETY: `ptr` came from this allocator, which is `System`,
+            // and the caller upholds `GlobalAlloc::realloc`'s contract.
+            unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: LargestAllocation = LargestAllocation;
+
+    #[test]
+    fn a_lying_length_prefix_is_typed_and_never_allocated() {
+        let declared = u32::MAX - 1;
+        let mut cursor = &declared.to_le_bytes()[..];
+        let err = read_frame(&mut cursor, usize::MAX).unwrap_err();
+        assert!(
+            matches!(&err, ServeError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+            "got: {err}"
+        );
+        // Other tests in this binary allocate at most a few MiB at once.
+        let largest = LARGEST_ALLOCATION.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            largest < 1 << 30,
+            "reading a {declared}-byte frame allocated {largest} bytes"
+        );
     }
 }

@@ -87,7 +87,6 @@ fn swaps_under_load_never_tear_responses() {
     let engine = Engine::new(
         model_a,
         ServeConfig::default()
-            .with_max_wait_us(300)
             .with_max_batch_rows(64)
             .with_batch_workers(2),
     )

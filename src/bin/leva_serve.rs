@@ -6,8 +6,8 @@
 //! `POST /admin/swap` or SIGHUP (re-reads the artifact path).
 //!
 //! ```text
-//! leva-serve model.leva [--addr 127.0.0.1:7878] [--max-wait-us 2000]
-//!            [--max-batch-rows 512] [--batch-workers 1]
+//! leva-serve model.leva [--addr 127.0.0.1:7878] [--max-batch-rows 512]
+//!            [--batch-workers 1]
 //! ```
 
 use std::process::ExitCode;
@@ -57,13 +57,6 @@ fn parse_args() -> Result<Args, String> {
         };
         match arg.as_str() {
             "--addr" => config.addr = knob("--addr")?,
-            "--max-wait-us" => {
-                config.max_wait = Duration::from_micros(
-                    knob("--max-wait-us")?
-                        .parse()
-                        .map_err(|_| "--max-wait-us must be an integer".to_owned())?,
-                )
-            }
             "--max-batch-rows" => {
                 config.max_batch_rows = knob("--max-batch-rows")?
                     .parse()
@@ -76,8 +69,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: leva-serve <artifact> [--addr HOST:PORT] [--max-wait-us N] \
-                     [--max-batch-rows N] [--batch-workers N]"
+                    "usage: leva-serve <artifact> [--addr HOST:PORT] [--max-batch-rows N] \
+                     [--batch-workers N]"
                         .to_owned(),
                 )
             }
