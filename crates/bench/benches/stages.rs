@@ -1,18 +1,18 @@
 //! Microbenchmarks of the Leva pipeline stages: textification, graph
 //! construction, proximity-matrix build, Householder QR, randomized SVD,
-//! walk generation, SGNS training, deployment featurization, and the
-//! artifact CRC-32.
+//! walk generation, SGNS training, deployment featurization, the artifact
+//! CRC-32 (both kernels) and the serve-side model stamp and clone.
 //!
 //! Plain `Instant`-based harness (the workspace builds offline, without
 //! criterion): each benchmark reports min/mean over a fixed sample count.
 
 use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig};
-use leva_datasets::{financial, genes};
+use leva_datasets::{financial, genes, restbase};
 use leva_embedding::{
     generate_walks, proximity_matrix, train_sgns, MfConfig, SgnsConfig, WalkConfig,
 };
 use leva_graph::{build_graph, GraphConfig};
-use leva_interner::codec::crc32;
+use leva_interner::codec::{crc32, Crc32};
 use leva_linalg::{randomized_svd, thin_q, Matrix, RsvdOptions};
 use leva_textify::{textify, TextifyConfig};
 use rand::rngs::StdRng;
@@ -89,11 +89,38 @@ fn bench_thin_q() {
 
 /// CRC-32 over a payload the size of the `serve_append` model's `STOR`
 /// chunk (5.5 MB): every serve-side append hashes one, and a mapped load
-/// hashes one on first featurize.
+/// hashes one on first featurize. `crc32` takes the carry-less-multiply
+/// kernel where the CPU has it; the table kernel is timed on its own.
 fn bench_crc32() {
     let mut rng = StdRng::seed_from_u64(2);
     let payload: Vec<u8> = (0..5_500_000).map(|_| rng.gen::<u32>() as u8).collect();
     bench("codec/crc32_5.5MB", || crc32(&payload));
+    bench("codec/crc32_table_5.5MB", || {
+        let mut h = Crc32::new();
+        h.update_table(&payload);
+        h.finish()
+    });
+}
+
+/// The copy-and-stamp half of a serve-side append at the `serve_append`
+/// model scale (restbase scale 5, MF at dim 128): the stamp encodes the
+/// artifact into a sink for its CRC-32 and length, and the clone (dropped
+/// inside the timed region) is what every append starts from.
+fn bench_model_stamp() {
+    let ds = restbase(5.0, 7);
+    let mut cfg = LevaConfig::fast().with_dim(128);
+    cfg.method = EmbeddingMethod::MatrixFactorization;
+    let model = Leva::with_config(cfg)
+        .base_table(&ds.base_table)
+        .target(&ds.target_column)
+        .fit(&ds.db)
+        .expect("fit");
+    let (_, len) = model.save_to(std::io::sink()).expect("sink");
+    gauge("model/artifact_serve_append_scale", len);
+    bench("model/stamp_serve_append_scale", || {
+        model.save_to(std::io::sink()).expect("sink")
+    });
+    bench("model/clone_serve_append_scale", || model.clone());
 }
 
 fn bench_walks_and_sgns() {
@@ -204,6 +231,7 @@ fn main() {
     bench_graph_construction();
     bench_thin_q();
     bench_crc32();
+    bench_model_stamp();
     bench_proximity_and_rsvd();
     bench_walks_and_sgns();
     bench_end_to_end_mf();

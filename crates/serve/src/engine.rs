@@ -18,7 +18,7 @@ use leva_linalg::Matrix;
 use leva_relational::{Table, Value};
 
 use crate::config::ServeConfig;
-use crate::metrics::Metrics;
+use crate::metrics::{AppendPhase, LogHistogram, Metrics};
 use crate::model::{ModelHandle, ServingModel};
 
 /// Errors surfaced by the serving layer.
@@ -274,12 +274,14 @@ impl Engine {
         options: &IngestOptions,
     ) -> Result<AppendOutcome, ServeError> {
         let _guard = self.append_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let started = Instant::now();
         let current = self.handle.current();
         let mut model = current.model.clone();
         // The clone deliberately drops the featurizer cache; re-seed it
         // from the identical origin state so the append patches touched
         // slots instead of paying a full rebuild at swap time.
         model.warm_featurizer_from(&current.model);
+        let cloned = Instant::now();
         let report = match model.append_rows_with(table, rows, options) {
             Ok(report) => report,
             Err(e) => {
@@ -289,7 +291,20 @@ impl Engine {
                 return Err(ServeError::Model(e));
             }
         };
-        let (version, checksum) = self.handle.swap(model);
+        let applied = Instant::now();
+        let next = ServingModel::prepare(model);
+        let stamped = Instant::now();
+        let (version, checksum) = self.handle.swap_with(|| next);
+        let installed = Instant::now();
+        for (phase, (from, to)) in AppendPhase::ALL.into_iter().zip([
+            (started, cloned),
+            (cloned, applied),
+            (applied, stamped),
+            (stamped, installed),
+        ]) {
+            let us = (to - from).as_micros().try_into().unwrap_or(u64::MAX);
+            self.metrics.record_append_phase_us(phase, us);
+        }
         self.metrics.appends.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .rows_appended
@@ -332,14 +347,8 @@ impl Engine {
             ("latency_us", m.latency_snapshot()),
             ("write_us", m.write_snapshot()),
         ] {
-            let _ = write!(
-                out,
-                ",\"{name}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                hist.count(),
-                hist.quantile(0.50),
-                hist.quantile(0.95),
-                hist.quantile(0.99)
-            );
+            let _ = write!(out, ",\"{name}\":");
+            write_quantiles(&mut out, &hist);
         }
         let _ = write!(out, ",\"batches\":{}", m.batches.load(Ordering::Relaxed));
         out.push_str(",\"batch_rows\":[");
@@ -404,11 +413,16 @@ impl Engine {
         );
         let _ = write!(
             out,
-            ",\"appends\":{{\"applied\":{},\"rejected\":{},\"rows\":{}}}",
+            ",\"appends\":{{\"applied\":{},\"rejected\":{},\"rows\":{}",
             m.appends.load(Ordering::Relaxed),
             m.appends_rejected.load(Ordering::Relaxed),
             m.rows_appended.load(Ordering::Relaxed)
         );
+        for (phase, hist) in AppendPhase::ALL.into_iter().zip(m.append_phase_snapshot()) {
+            let _ = write!(out, ",\"{}\":", phase.name());
+            write_quantiles(&mut out, &hist);
+        }
+        out.push('}');
         out.push('}');
         out
     }
@@ -631,6 +645,20 @@ impl Engine {
         // fails; the batch must keep going.
         let _ = p.tx.send(response);
     }
+}
+
+/// Appends `{"count":…,"p50":…,"p95":…,"p99":…}` for `hist` to a
+/// `/metrics` document.
+fn write_quantiles(out: &mut String, hist: &LogHistogram) {
+    use std::fmt::Write as _;
+    let _ = write!(
+        out,
+        "{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+        hist.count(),
+        hist.quantile(0.50),
+        hist.quantile(0.95),
+        hist.quantile(0.99)
+    );
 }
 
 /// CRC-32 and length of a file, computed in one buffered streaming pass

@@ -49,5 +49,5 @@ pub mod wire;
 pub use config::ServeConfig;
 pub use engine::{AppendOutcome, Engine, FeatResponse, ServeError};
 pub use http::Server;
-pub use metrics::{LogHistogram, Metrics};
+pub use metrics::{AppendPhase, LogHistogram, Metrics};
 pub use model::{ModelHandle, ServingModel};

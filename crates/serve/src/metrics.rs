@@ -134,6 +134,35 @@ impl LogHistogram {
     }
 }
 
+/// The timed phases of an admin append, in the order they run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AppendPhase {
+    /// Cloning the served model and re-seeding its featurizer cache.
+    Clone,
+    /// The library append: graph patch, retrofit, featurizer-slot patch.
+    Apply,
+    /// Stamping the patched model (artifact CRC and length) and warming
+    /// its cache, before the write lock.
+    Stamp,
+    /// Publishing it: waiting for and holding the handle's write lock.
+    Install,
+}
+
+impl AppendPhase {
+    /// Every phase, in execution order.
+    pub const ALL: [AppendPhase; 4] = [Self::Clone, Self::Apply, Self::Stamp, Self::Install];
+
+    /// The phase's key in the `/metrics` document.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Clone => "clone_us",
+            Self::Apply => "apply_us",
+            Self::Stamp => "stamp_us",
+            Self::Install => "install_us",
+        }
+    }
+}
+
 /// All counters and histograms the daemon exposes on `/metrics`.
 pub struct Metrics {
     started: Instant,
@@ -159,6 +188,8 @@ pub struct Metrics {
     pub rows_appended: AtomicU64,
     latency_us: Mutex<LogHistogram>,
     write_us: Mutex<LogHistogram>,
+    /// One histogram per [`AppendPhase`], indexed by its position.
+    append_us: Mutex<[LogHistogram; 4]>,
     batch_rows: Mutex<LogHistogram>,
     rate: RateWindow,
 }
@@ -180,6 +211,7 @@ impl Metrics {
             rows_appended: AtomicU64::new(0),
             latency_us: Mutex::new(LogHistogram::default()),
             write_us: Mutex::new(LogHistogram::default()),
+            append_us: Mutex::new(Default::default()),
             batch_rows: Mutex::new(LogHistogram::default()),
             rate: RateWindow::new(),
         }
@@ -212,6 +244,12 @@ impl Metrics {
             .record(us.max(1));
     }
 
+    /// Records how long one phase of an applied append took (clamped to
+    /// ≥ 1 µs like [`Self::record_latency_us`]).
+    pub fn record_append_phase_us(&self, phase: AppendPhase, us: u64) {
+        self.append_us.lock().unwrap_or_else(|e| e.into_inner())[phase as usize].record(us.max(1));
+    }
+
     /// Records the row count of one coalesced featurize call.
     pub fn record_batch_rows(&self, rows: u64) {
         self.batch_rows
@@ -231,6 +269,15 @@ impl Metrics {
     /// Snapshot of the socket-write histogram.
     pub fn write_snapshot(&self) -> LogHistogram {
         self.write_us
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone()
+    }
+
+    /// Snapshot of the per-phase append histograms, in
+    /// [`AppendPhase::ALL`] order.
+    pub fn append_phase_snapshot(&self) -> [LogHistogram; 4] {
+        self.append_us
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()

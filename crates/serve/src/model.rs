@@ -6,38 +6,6 @@ use std::io;
 use std::sync::{Arc, RwLock};
 
 use leva::LevaModel;
-use leva_interner::codec::Crc32;
-
-/// `io::Write` sink that hashes and counts the stream without storing
-/// it: lets [`ServingModel::prepare`] fingerprint an artifact via the
-/// model's streaming encoder at O(chunk) memory instead of
-/// materializing the full byte vector (which doubled peak RSS for
-/// large models).
-struct CrcCountingWriter {
-    crc: Crc32,
-    len: usize,
-}
-
-impl CrcCountingWriter {
-    fn new() -> Self {
-        Self {
-            crc: Crc32::new(),
-            len: 0,
-        }
-    }
-}
-
-impl io::Write for CrcCountingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.crc.update(buf);
-        self.len += buf.len();
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
 
 /// A fitted model prepared for serving: the model itself plus the
 /// identity (version epoch + artifact checksum) stamped onto every
@@ -59,20 +27,18 @@ pub struct ServingModel {
 }
 
 impl ServingModel {
-    /// Prepares `model` for serving: streams the artifact encoding
-    /// through a hashing sink to fingerprint it (no full serialized copy
-    /// is ever held, so preparing a large model does not double peak RSS)
-    /// and warms the featurizer cache so the first request does not pay
-    /// the cache build. The version is assigned at install.
+    /// Prepares `model` for serving: stamps it by encoding the artifact
+    /// into [`io::sink`] ([`LevaModel::save_to`] returns the CRC-32 and
+    /// length of what it wrote, hashing each byte once, and no serialized
+    /// copy is ever held, so preparing a large model does not double peak
+    /// RSS) and warms the featurizer cache so the first request does not
+    /// pay the cache build. The version is assigned at install.
     pub fn prepare(model: LevaModel) -> Self {
-        let mut sink = CrcCountingWriter::new();
         // The sink never fails, and encoding is infallible once the
         // model exists, so the expect is unreachable in practice.
-        model
-            .save_to(&mut sink)
-            .expect("hashing sink cannot fail and encoding is infallible");
-        let checksum = sink.crc.finish();
-        let artifact_bytes = sink.len;
+        let (checksum, artifact_bytes) = model
+            .save_to(io::sink())
+            .expect("the sink cannot fail and encoding is infallible");
         // Warm the serving cache before the model becomes visible to
         // workers; otherwise the first post-swap batch pays the build.
         let _ = model.featurizer();

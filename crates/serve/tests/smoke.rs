@@ -485,6 +485,15 @@ fn admin_append_patches_the_served_model() {
     assert_eq!(appends.get("applied").unwrap().as_f64(), Some(1.0));
     assert_eq!(appends.get("rejected").unwrap().as_f64(), Some(1.0));
     assert_eq!(appends.get("rows").unwrap().as_f64(), Some(1.0));
+    // One sample per phase for the applied append; the rejected one
+    // records none.
+    for phase in ["clone_us", "apply_us", "stamp_us", "install_us"] {
+        let hist = appends
+            .get(phase)
+            .unwrap_or_else(|| panic!("{phase} missing"));
+        assert_eq!(hist.get("count").unwrap().as_f64(), Some(1.0), "{phase}");
+        assert!(hist.get("p50").unwrap().as_f64().unwrap() >= 1.0, "{phase}");
+    }
 
     server.shutdown();
 }

@@ -9,9 +9,10 @@ cargo build --release
 echo "==> cargo test --workspace -q (every crate's unit, integration and doc tests)"
 cargo test --workspace -q
 
-echo "==> cargo test --release (bitwise QR and CRC-32 oracles + MF pins under optimized codegen)"
+echo "==> cargo test --release (bitwise QR and CRC-32 oracles, flat store and stamp, MF pins under optimized codegen)"
 cargo test --release -q -p leva-linalg
 cargo test --release -q -p leva-interner
+cargo test --release -q -p leva-embedding -p leva-serve
 cargo test --release -q --test determinism
 
 echo "==> bench_all (the repository benchmark builds and its own tests pass against the current API)"
