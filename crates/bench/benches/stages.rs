@@ -1,7 +1,8 @@
 //! Microbenchmarks of the Leva pipeline stages: textification, graph
 //! construction, proximity-matrix build, Householder QR, randomized SVD,
-//! walk generation, SGNS training, deployment featurization, the artifact
-//! CRC-32 (both kernels) and the serve-side model stamp and clone.
+//! walk generation, SGNS training (also at the `fit_schemafree_rw` shape),
+//! deployment featurization, the artifact CRC-32 (both kernels) and the
+//! serve-side model stamp and clone.
 //!
 //! Plain `Instant`-based harness (the workspace builds offline, without
 //! criterion): each benchmark reports min/mean over a fixed sample count.
@@ -21,7 +22,8 @@ use std::time::Instant;
 
 const SAMPLES: usize = 10;
 
-fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
+/// Times `f` and prints min/mean; returns the min.
+fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> std::time::Duration {
     // One warm-up iteration, then timed samples.
     std::hint::black_box(f());
     let mut times = Vec::with_capacity(SAMPLES);
@@ -33,6 +35,7 @@ fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     let min = times.iter().min().expect("samples");
     let mean = times.iter().sum::<std::time::Duration>() / SAMPLES as u32;
     println!("{name:<44} min {min:>12.3?}   mean {mean:>12.3?}   n={SAMPLES}");
+    *min
 }
 
 fn bench_textify() {
@@ -146,6 +149,43 @@ fn bench_walks_and_sgns() {
     });
 }
 
+/// SGNS at the shape of `bench_all`'s `fit_schemafree_rw`: a ≈14.4k-token
+/// vocabulary, 2 walks of 20 per node, dim 32, window 5, 5 negatives, one
+/// epoch on one thread. Its two f64 parameter matrices (≈3.7 MB each)
+/// outgrow L2, so row loads are part of the cost — which the small genes
+/// vocabulary above keeps in cache.
+fn bench_sgns_relbench_shape() {
+    let ds = financial(1.76, 1);
+    let tok = textify(&ds.db, &TextifyConfig::default());
+    let graph = build_graph(&tok, &GraphConfig::default());
+    let corpus = generate_walks(
+        &graph,
+        &WalkConfig {
+            walk_length: 20,
+            walks_per_node: 2,
+            ..Default::default()
+        },
+    );
+    let cfg = SgnsConfig {
+        dim: 32,
+        window: 5,
+        negative: 5,
+        epochs: 1,
+        threads: 1,
+        ..Default::default()
+    };
+    let min = bench("embedding/sgns_relbench_shape", || {
+        train_sgns(&corpus, &cfg)
+    });
+    println!(
+        "{:<44} vocab {}   {:.0} tokens/s at min ({:.1} ms)",
+        "embedding/sgns_relbench_shape",
+        corpus.vocab_size(),
+        corpus.total_tokens() as f64 / min.as_secs_f64(),
+        min.as_secs_f64() * 1e3
+    );
+}
+
 fn bench_end_to_end_mf() {
     let ds = financial(0.2, 1);
     let mut cfg = LevaConfig::fast().with_dim(32);
@@ -234,6 +274,7 @@ fn main() {
     bench_model_stamp();
     bench_proximity_and_rsvd();
     bench_walks_and_sgns();
+    bench_sgns_relbench_shape();
     bench_end_to_end_mf();
     bench_deployment();
 }

@@ -108,7 +108,7 @@ pub fn build_mf_embedding(graph: &LevaGraph, cfg: &MfConfig) -> EmbeddingStore {
         let mut v = emb.row(node as usize).to_vec();
         // Zero-pad if the effective rank was clamped below cfg.dim.
         v.resize(cfg.dim, 0.0);
-        store.insert_id(graph.token(node), v);
+        store.insert_id(graph.token(node), &v);
     }
     store
 }

@@ -233,7 +233,7 @@ mod tests {
                 continue; // leave one token unembedded
             }
             let row: Vec<f64> = (0..dim).map(|j| ((k * dim + j) as f64).sin()).collect();
-            store.insert_id(*id, row);
+            store.insert_id(*id, &row);
         }
         store
     }

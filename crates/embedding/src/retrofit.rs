@@ -157,11 +157,11 @@ pub fn retrofit_embeddings(
     for (i, &n) in nodes.iter().enumerate() {
         match (&anchors[i], current[i].take()) {
             (Some(_), Some(v)) => {
-                store.insert_id(graph.token(n), v);
+                store.insert_id(graph.token(n), &v);
                 report.updated += 1;
             }
             (None, Some(v)) => {
-                store.insert_id(graph.token(n), v);
+                store.insert_id(graph.token(n), &v);
                 report.seeded += 1;
             }
             (_, None) => report.isolated += 1,
@@ -193,7 +193,7 @@ mod tests {
     fn constant_store(g: &LevaGraph, dim: usize, fill: f64) -> EmbeddingStore {
         let mut s = EmbeddingStore::with_symbols(std::sync::Arc::clone(g.symbols()), dim);
         for n in 0..g.n_nodes() as u32 {
-            s.insert_id(g.token(n), vec![fill; dim]);
+            s.insert_id(g.token(n), &vec![fill; dim]);
         }
         s
     }
@@ -206,7 +206,7 @@ mod tests {
         // must land strictly between its anchor (1.0) and the pull (3.0).
         let vn = g.value_node_range().start;
         for (u, _) in g.neighbors(vn).iter() {
-            s.insert_id(g.token(u), vec![3.0, 3.0]);
+            s.insert_id(g.token(u), &[3.0, 3.0]);
         }
         let report = retrofit_embeddings(&mut s, &g, &[vn], &RetrofitConfig::default());
         assert_eq!(report.updated, 1);
@@ -223,7 +223,7 @@ mod tests {
         let mut missing = EmbeddingStore::with_symbols(std::sync::Arc::clone(g.symbols()), 2);
         for n in 0..g.n_nodes() as u32 {
             if n != vn {
-                missing.insert_id(g.token(n), s.get_id(g.token(n)).unwrap().to_vec());
+                missing.insert_id(g.token(n), s.get_id(g.token(n)).unwrap());
             }
         }
         let report = retrofit_embeddings(&mut missing, &g, &[vn], &RetrofitConfig::default());

@@ -9,6 +9,46 @@
 //! Supports optional Hogwild-style multithreading (lock-free shared updates,
 //! as in the reference word2vec implementation); single-threaded training is
 //! fully deterministic and is what the test-suite exercises.
+//!
+//! # The training step
+//!
+//! Each corpus position draws its window radius and then, up front, the
+//! negatives of all its (center, context) pairs: `negative` per pair, in pair
+//! order. A pair's *targets* are its context (label 1) followed by those of
+//! its negatives that differ from the context (label 0). When the targets are
+//! distinct rows, the pair costs two passes over `dim`:
+//!
+//! 1. the dot products of the center's input row with every target's output
+//!    row, computed side by side — independent accumulator chains instead of
+//!    one serial chain per target, back to back;
+//! 2. after the sigmoid and gradient `g_k` of each target, in target order,
+//!    one fused sweep: for each coordinate `i`, `ga += g_k·wo_k[i]` and
+//!    `wo_k[i] += g_k·wi[i]` for every target `k` in order, then
+//!    `wi[i] += ga`.
+//!
+//! While a pair trains, the output rows of the next pair are prefetched. The
+//! RNG runs one position ahead of training, so the last pair of a position
+//! also knows the next position's first pair (and its center's input row).
+//!
+//! # Why it is bit-identical to training one target at a time
+//!
+//! Training draws nothing, so the RNG stream is consumed in the same order as
+//! by a loop that draws each pair's negatives as it reaches them. Within a
+//! pair the input row changes only at the end, and each distinct output row
+//! is written only by its own target, so every dot sees the values it would
+//! see target by target; each side-by-side dot keeps the reduction order of
+//! `T::dot` (serial from `-0.0` for f64, four lanes for f32). The fused sweep
+//! applies to every coordinate the same f64 operations in the same order as
+//! one loop per target would, and Rust neither contracts to FMA nor
+//! reassociates. The tests keep that per-target trainer as an oracle and
+//! compare parameters bit for bit at f64 and f32.
+//!
+//! # Fallback
+//!
+//! When two targets share a row (a negative drawn twice), the later target's
+//! dot must see the earlier target's update. Such a pair trains target by
+//! target — dot, then update of the output row and of a gradient buffer —
+//! and adds the buffer to the input row at the end, like the oracle.
 
 use crate::corpus::Corpus;
 use crate::quant::Precision;
@@ -69,6 +109,12 @@ trait ParamScalar: Copy + Default + Send + Sync + 'static {
     fn from_f64(x: f64) -> Self;
     fn to_f64(self) -> f64;
     fn dot(a: &[Self], b: &[Self]) -> f64;
+    /// `N` dot products of `a` with `rows`, side by side in one pass; each
+    /// keeps the reduction order of [`ParamScalar::dot`], so each equals
+    /// `dot(a, rows[k])` bit for bit.
+    fn dots<const N: usize>(a: &[Self], rows: [&[Self]; N]) -> [f64; N];
+    /// The flat matrix widened to f64.
+    fn into_f64s(flat: Vec<Self>) -> Vec<f64>;
 }
 
 impl ParamScalar for f64 {
@@ -80,6 +126,20 @@ impl ParamScalar for f64 {
     }
     fn dot(a: &[Self], b: &[Self]) -> f64 {
         leva_linalg::dot(a, b)
+    }
+    /// `leva_linalg::dot` sums serially from `-0.0` (`Iterator::sum`).
+    fn dots<const N: usize>(a: &[Self], rows: [&[Self]; N]) -> [f64; N] {
+        let rows = rows.map(|r| &r[..a.len()]);
+        let mut acc = [-0.0f64; N];
+        for (i, &x) in a.iter().enumerate() {
+            for (s, r) in acc.iter_mut().zip(&rows) {
+                *s += x * r[i];
+            }
+        }
+        acc
+    }
+    fn into_f64s(flat: Vec<Self>) -> Vec<f64> {
+        flat
     }
 }
 
@@ -93,30 +153,78 @@ impl ParamScalar for f32 {
     fn dot(a: &[Self], b: &[Self]) -> f64 {
         leva_linalg::dot_f32(a, b)
     }
+    /// `leva_linalg::dot_f32` accumulates four lanes over whole chunks of
+    /// four, sums the lanes left to right, then adds the tail serially.
+    fn dots<const N: usize>(a: &[Self], rows: [&[Self]; N]) -> [f64; N] {
+        let rows = rows.map(|r| &r[..a.len()]);
+        let whole = a.len() - a.len() % 4;
+        let mut lanes = [[0.0f64; 4]; N];
+        for c in (0..whole).step_by(4) {
+            for (l, r) in lanes.iter_mut().zip(&rows) {
+                for j in 0..4 {
+                    l[j] += f64::from(a[c + j]) * f64::from(r[c + j]);
+                }
+            }
+        }
+        let mut acc = lanes.map(|l| l[0] + l[1] + l[2] + l[3]);
+        for i in whole..a.len() {
+            for (s, r) in acc.iter_mut().zip(&rows) {
+                *s += f64::from(a[i]) * f64::from(r[i]);
+            }
+        }
+        acc
+    }
+    fn into_f64s(flat: Vec<Self>) -> Vec<f64> {
+        flat.into_iter().map(f64::from).collect()
+    }
 }
 
-/// Trained SGNS factors.
+/// Trained SGNS factors: two row-major `vocab × dim` matrices, row `id`
+/// belonging to corpus vocabulary id `id`.
 #[derive(Debug, Clone)]
 pub struct SgnsModel {
-    /// Input ("node") vectors per vocabulary id — the embedding Leva uses.
-    pub input: Vec<Vec<f64>>,
-    /// Output ("context") vectors per vocabulary id.
-    pub output: Vec<Vec<f64>>,
+    dim: usize,
+    input: Vec<f64>,
+    output: Vec<f64>,
 }
 
 impl SgnsModel {
+    /// Number of trained rows (the corpus vocabulary size).
+    pub fn vocab_size(&self) -> usize {
+        self.input.len().checked_div(self.dim).unwrap_or(0)
+    }
+
+    /// Input ("node") vector of vocabulary id `id` — the embedding Leva uses.
+    pub fn input_row(&self, id: usize) -> &[f64] {
+        &self.input[id * self.dim..][..self.dim]
+    }
+
+    /// Output ("context") vector of vocabulary id `id`.
+    pub fn output_row(&self, id: usize) -> &[f64] {
+        &self.output[id * self.dim..][..self.dim]
+    }
+
     /// Converts the trained factors into an [`EmbeddingStore`] keyed by the
     /// corpus vocabulary. Uses the mean of the input and output vectors:
     /// first-order (input·output) similarity then survives in the stored
     /// representation, which matters for Leva's value-mean featurization.
     pub fn into_store(self, corpus: &Corpus, dim: usize) -> EmbeddingStore {
+        let rows = self.vocab_size();
+        let SgnsModel {
+            dim: model_dim,
+            input: mut mean,
+            output,
+        } = self;
+        for (a, b) in mean.iter_mut().zip(&output) {
+            *a = (*a + *b) * 0.5;
+        }
+        // Freed before the store's matrix is allocated: at most two
+        // vocab × dim matrices are alive at once.
+        drop(output);
         let mut store = EmbeddingStore::with_symbols(Arc::clone(&corpus.symbols), dim);
-        store.reserve(self.input.len());
-        for (id, (mut vin, vout)) in self.input.into_iter().zip(self.output).enumerate() {
-            for (a, b) in vin.iter_mut().zip(&vout) {
-                *a = (*a + *b) * 0.5;
-            }
-            store.insert_id(corpus.vocab[id], vin);
+        store.reserve(rows);
+        for (id, row) in mean.chunks_exact(model_dim).enumerate() {
+            store.insert_id(corpus.vocab[id], row);
         }
         store
     }
@@ -202,14 +310,10 @@ fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsMo
     }
 
     let SharedParams { input, output, dim } = shared;
-    let to_f64_rows = |flat: Vec<T>| -> Vec<Vec<f64>> {
-        flat.chunks(dim)
-            .map(|row| row.iter().map(|v| v.to_f64()).collect())
-            .collect()
-    };
     SgnsModel {
-        input: to_f64_rows(input),
-        output: to_f64_rows(output),
+        dim,
+        input: T::into_f64s(input),
+        output: T::into_f64s(output),
     }
 }
 
@@ -225,10 +329,21 @@ struct SharedParams<T> {
 unsafe impl<T: ParamScalar> Sync for SharedParams<T> {}
 
 impl<T: ParamScalar> SharedParams<T> {
+    /// Pointer to row `id` of a parameter matrix.
+    fn row_ptr(vec: &[T], id: u32, dim: usize) -> *mut T {
+        vec[id as usize * dim..][..dim].as_ptr() as *mut T
+    }
+
+    /// Mutable view of row `id` of a parameter matrix.
+    ///
+    /// # Safety
+    ///
+    /// While the view lives, this thread must hold no other reference
+    /// into the row. Other Hogwild workers may write it concurrently; those
+    /// races are the accepted cost of lock-free training.
     #[allow(clippy::mut_from_ref)]
     unsafe fn row_mut(vec: &[T], id: u32, dim: usize) -> &mut [T] {
-        let ptr = vec.as_ptr() as *mut T;
-        std::slice::from_raw_parts_mut(ptr.add(id as usize * dim), dim)
+        std::slice::from_raw_parts_mut(Self::row_ptr(vec, id, dim), dim)
     }
 }
 
@@ -241,28 +356,96 @@ struct Worker<'a, T> {
     total_positions: usize,
 }
 
+/// One position's draws: its context tokens in window order, and
+/// `negative` negatives per context.
+#[derive(Default)]
+struct Window {
+    contexts: Vec<u32>,
+    negatives: Vec<u32>,
+}
+
+impl Window {
+    /// Context and negatives of pair `j`.
+    fn pair(&self, j: usize, negative: usize) -> (u32, &[u32]) {
+        (
+            self.contexts[j],
+            &self.negatives[j * negative..][..negative],
+        )
+    }
+}
+
+/// Per-worker buffers of the training step, reused across pairs.
+#[derive(Default)]
+struct Scratch<T> {
+    /// The current pair's targets: the context, then the kept negatives.
+    targets: Vec<u32>,
+    /// Output-row pointers of the targets (fast path).
+    rows: Vec<*mut T>,
+    /// Per target: the dot product, then the gradient scale (fast path).
+    scores: Vec<f64>,
+    /// Input-row gradient (fallback only).
+    grad: Vec<f64>,
+}
+
 impl<T: ParamScalar> Worker<'_, T> {
     fn run(&mut self, sequences: &[Vec<u32>]) {
-        let dim = self.params.dim;
+        // Without a negative table no pair draws negatives.
+        let negative = self.neg_table.map_or(0, |_| self.cfg.negative);
         let mut processed = self.processed_base;
-        let mut grad_accum = vec![0.0f64; dim];
+        let mut s = Scratch::default();
+        // Positions are drawn one ahead of training, so the last pair of a
+        // position can prefetch the first pair of the next. Training draws
+        // nothing, so the RNG stream keeps its order.
+        let (mut window, mut ahead) = (Window::default(), Window::default());
+        let dim = self.params.dim;
         for seq in sequences {
+            if !seq.is_empty() {
+                self.draw_window(seq, 0, negative, &mut ahead);
+            }
             for (pos, &center) in seq.iter().enumerate() {
+                std::mem::swap(&mut window, &mut ahead);
+                if let Some(&next) = seq.get(pos + 1) {
+                    self.draw_window(seq, pos + 1, negative, &mut ahead);
+                    prefetch_row(SharedParams::row_ptr(&self.params.input, next, dim), dim);
+                } else {
+                    ahead.contexts.clear();
+                }
                 let lr = self.current_lr(processed);
                 processed += 1;
-                let radius = self.rng.gen_range(1..=self.cfg.window.max(1));
-                let lo = pos.saturating_sub(radius);
-                let hi = (pos + radius + 1).min(seq.len());
-                for ctx_pos in lo..hi {
-                    if ctx_pos == pos {
-                        continue;
+                let pairs = window.contexts.len();
+                for j in 0..pairs {
+                    // The next pair: in this window, else the next one's first.
+                    if j + 1 < pairs {
+                        self.prefetch_pair(window.pair(j + 1, negative));
+                    } else if !ahead.contexts.is_empty() {
+                        self.prefetch_pair(ahead.pair(0, negative));
                     }
-                    let context = seq[ctx_pos];
-                    self.train_pair(center, context, lr, &mut grad_accum);
+                    let (context, negatives) = window.pair(j, negative);
+                    s.targets.clear();
+                    s.targets.push(context);
+                    s.targets
+                        .extend(negatives.iter().filter(|&&n| n != context));
+                    self.train_pair(center, lr, &mut s);
                 }
             }
         }
-        let _ = dim;
+    }
+
+    /// Draws position `pos`'s window radius, then the negatives of all its
+    /// pairs in pair order: the draws a pair-at-a-time loop makes.
+    fn draw_window(&mut self, seq: &[u32], pos: usize, negative: usize, w: &mut Window) {
+        let radius = self.rng.gen_range(1..=self.cfg.window.max(1));
+        let lo = pos.saturating_sub(radius);
+        let hi = (pos + radius + 1).min(seq.len());
+        w.contexts.clear();
+        w.contexts.extend_from_slice(&seq[lo..pos]);
+        w.contexts.extend_from_slice(&seq[pos + 1..hi]);
+        w.negatives.clear();
+        if let Some(table) = self.neg_table {
+            let draws = w.contexts.len() * negative;
+            w.negatives
+                .extend((0..draws).map(|_| table.sample(&mut self.rng) as u32));
+        }
     }
 
     fn current_lr(&self, processed: usize) -> f64 {
@@ -270,42 +453,170 @@ impl<T: ParamScalar> Worker<'_, T> {
         (self.cfg.initial_lr * (1.0 - frac)).max(self.cfg.min_lr)
     }
 
-    /// One positive pair plus `negative` sampled negatives.
-    fn train_pair(&mut self, center: u32, context: u32, lr: f64, grad: &mut [f64]) {
+    /// Hints the cache to load the output rows of a pair's targets.
+    fn prefetch_pair(&self, (context, negatives): (u32, &[u32])) {
         let dim = self.params.dim;
-        grad.fill(0.0);
-        // SAFETY: Hogwild — concurrent unsynchronized updates are accepted.
-        let w_in = unsafe { SharedParams::row_mut(&self.params.input, center, dim) };
-        for k in 0..=self.cfg.negative {
-            let (target, label) = if k == 0 {
-                (context, 1.0)
-            } else {
-                let neg = match self.neg_table {
-                    Some(t) => t.sample(&mut self.rng) as u32,
-                    // No negative table: skip the negatives but still fall
-                    // through to the flush below — `return` here would
-                    // silently discard the positive pair's accumulated
-                    // input gradient.
-                    None => break,
-                };
-                if neg == context {
-                    continue;
-                }
-                (neg, 0.0)
-            };
-            let w_out = unsafe { SharedParams::row_mut(&self.params.output, target, dim) };
-            let dot = T::dot(w_in, w_out);
-            let pred = sigmoid(dot);
-            let g = (label - pred) * lr;
-            for ((ga, &wi), wo) in grad.iter_mut().zip(w_in.iter()).zip(w_out.iter_mut()) {
-                *ga += g * wo.to_f64();
-                *wo = T::from_f64(wo.to_f64() + g * wi.to_f64());
-            }
-        }
-        for (wi, &ga) in w_in.iter_mut().zip(grad.iter()) {
-            *wi = T::from_f64(wi.to_f64() + ga);
+        for &t in std::iter::once(&context).chain(negatives) {
+            prefetch_row(SharedParams::row_ptr(&self.params.output, t, dim), dim);
         }
     }
+
+    /// One positive pair plus its kept negatives, `s.targets` (context
+    /// first).
+    fn train_pair(&self, center: u32, lr: f64, s: &mut Scratch<T>) {
+        let dim = self.params.dim;
+        let output = &self.params.output;
+        // SAFETY: Hogwild — concurrent unsynchronized updates are accepted.
+        // Within this thread the input row aliases nothing: it lives in the
+        // other matrix.
+        let w_in = unsafe { SharedParams::row_mut(&self.params.input, center, dim) };
+        let targets = &s.targets;
+        let distinct = targets
+            .iter()
+            .enumerate()
+            .all(|(k, t)| !targets[..k].contains(t));
+        if !distinct {
+            // A later target must see an earlier target's update of the
+            // shared row: train target by target.
+            s.grad.clear();
+            s.grad.resize(dim, 0.0);
+            for (k, &target) in targets.iter().enumerate() {
+                // SAFETY: the output row is in the other matrix, so it does
+                // not alias `w_in`, and it is dropped before the next
+                // target's row is taken.
+                let w_out = unsafe { SharedParams::row_mut(output, target, dim) };
+                let g = (label(k) - sigmoid(T::dot(w_in, w_out))) * lr;
+                for ((ga, &wi), wo) in s.grad.iter_mut().zip(w_in.iter()).zip(w_out.iter_mut()) {
+                    *ga += g * wo.to_f64();
+                    *wo = T::from_f64(wo.to_f64() + g * wi.to_f64());
+                }
+            }
+            for (wi, &ga) in w_in.iter_mut().zip(&s.grad) {
+                *wi = T::from_f64(wi.to_f64() + ga);
+            }
+            return;
+        }
+
+        s.rows.clear();
+        s.rows.extend(
+            targets
+                .iter()
+                .map(|&t| SharedParams::row_ptr(output, t, dim)),
+        );
+        s.scores.clear();
+        s.scores.resize(targets.len(), 0.0);
+        // SAFETY: `rows` point at full, distinct rows of the output matrix,
+        // which `w_in` (an input row) does not overlap.
+        unsafe { side_by_side_dots(w_in, &s.rows, &mut s.scores) };
+        for (k, score) in s.scores.iter_mut().enumerate() {
+            *score = (label(k) - sigmoid(*score)) * lr;
+        }
+        // SAFETY: as above; no reference into those rows is alive.
+        unsafe { fused_update(w_in, &s.rows, &s.scores) };
+    }
+}
+
+/// The update of a pair whose targets are distinct rows, in one sweep: for
+/// every coordinate `i`, `ga += g_k·wo_k[i]; wo_k[i] += g_k·wi[i]` for each
+/// target `k` in order, then `wi[i] += ga`. Coordinates go in blocks of four
+/// whose lane-wise arithmetic the compiler vectorizes.
+///
+/// # Safety
+///
+/// Each of `rows` must point at `w_in.len()` writable scalars, the rows must
+/// be pairwise disjoint and disjoint from `w_in`, and this thread must hold
+/// no other reference into them.
+unsafe fn fused_update<T: ParamScalar>(w_in: &mut [T], rows: &[*mut T], gs: &[f64]) {
+    /// Updates coordinates `base..base + L`; `wi` holds those of the input
+    /// row. Same contract as [`fused_update`].
+    #[inline(always)]
+    unsafe fn block<T: ParamScalar, const L: usize>(
+        wi: &mut [T],
+        base: usize,
+        rows: &[*mut T],
+        gs: &[f64],
+    ) {
+        let x: [f64; L] = std::array::from_fn(|l| wi[l].to_f64());
+        let mut ga = [0.0f64; L];
+        for (&row, &g) in rows.iter().zip(gs) {
+            // SAFETY: by the contract each row holds at least `base + L`
+            // scalars and overlaps nothing else, so this view is the only
+            // live reference to them.
+            let wo = unsafe { std::slice::from_raw_parts_mut(row.add(base), L) };
+            for l in 0..L {
+                let o = wo[l].to_f64();
+                ga[l] += g * o;
+                wo[l] = T::from_f64(o + g * x[l]);
+            }
+        }
+        for l in 0..L {
+            wi[l] = T::from_f64(x[l] + ga[l]);
+        }
+    }
+    let whole = w_in.len() - w_in.len() % 4;
+    let (blocks, tail) = w_in.split_at_mut(whole);
+    // SAFETY (both loops): the caller's contract, and every block ends
+    // within `w_in.len()`.
+    for (b, wi) in blocks.chunks_exact_mut(4).enumerate() {
+        unsafe { block::<T, 4>(wi, 4 * b, rows, gs) };
+    }
+    for (j, wi) in tail.chunks_exact_mut(1).enumerate() {
+        unsafe { block::<T, 1>(wi, whole + j, rows, gs) };
+    }
+}
+
+/// Label of target `k` of a pair: the context (k = 0) is positive.
+fn label(k: usize) -> f64 {
+    if k == 0 {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+/// `out[k] = T::dot(a, rows[k])`, up to eight dot products at a time in one
+/// pass over `a`.
+///
+/// # Safety
+///
+/// Each of `rows` must point at `a.len()` scalars that nothing writes while
+/// this runs.
+unsafe fn side_by_side_dots<T: ParamScalar>(a: &[T], rows: &[*mut T], out: &mut [f64]) {
+    fn group<T: ParamScalar, const N: usize>(a: &[T], rows: &[*mut T], out: &mut [f64]) {
+        // SAFETY: the caller's contract covers every pointer.
+        let rows = std::array::from_fn(|k| unsafe { std::slice::from_raw_parts(rows[k], a.len()) });
+        out.copy_from_slice(&T::dots::<N>(a, rows));
+    }
+    for (rows, out) in rows.chunks(8).zip(out.chunks_mut(8)) {
+        match rows.len() {
+            1 => group::<T, 1>(a, rows, out),
+            2 => group::<T, 2>(a, rows, out),
+            3 => group::<T, 3>(a, rows, out),
+            4 => group::<T, 4>(a, rows, out),
+            5 => group::<T, 5>(a, rows, out),
+            6 => group::<T, 6>(a, rows, out),
+            7 => group::<T, 7>(a, rows, out),
+            _ => group::<T, 8>(a, rows, out),
+        }
+    }
+}
+
+/// Hints the cache to load the `dim` scalars at `row`; a no-op off x86-64.
+#[inline(always)]
+fn prefetch_row<T>(row: *const T, dim: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = row.cast::<i8>();
+        let offset = start as usize % 64;
+        let first_line = start.wrapping_sub(offset);
+        for line in (0..offset + dim * std::mem::size_of::<T>()).step_by(64) {
+            // SAFETY: a prefetch is only a hint and never faults.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first_line.wrapping_add(line)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (row, dim);
 }
 
 /// Numerically clamped logistic function.
@@ -363,9 +674,9 @@ mod tests {
             ..Default::default()
         };
         let model = train_sgns(&corpus, &cfg);
-        let a = &model.input[0];
-        let b = &model.input[1];
-        let x = &model.input[2];
+        let a = model.input_row(0);
+        let b = model.input_row(1);
+        let x = model.input_row(2);
         let sim_ab = cosine_similarity(a, b);
         let sim_ax = cosine_similarity(a, x);
         assert!(
@@ -398,8 +709,8 @@ mod tests {
             ..Default::default()
         };
         let model = train_sgns(&corpus, &cfg);
-        let sim_ab = cosine_similarity(&model.input[0], &model.input[1]);
-        let sim_ax = cosine_similarity(&model.input[0], &model.input[2]);
+        let sim_ab = cosine_similarity(model.input_row(0), model.input_row(1));
+        let sim_ax = cosine_similarity(model.input_row(0), model.input_row(2));
         assert!(sim_ab > sim_ax);
     }
 
@@ -411,11 +722,20 @@ mod tests {
             epochs: 1,
             ..Default::default()
         };
-        let store = train_sgns(&corpus, &cfg).into_store(&corpus, 8);
+        let model = train_sgns(&corpus, &cfg);
+        let store = model.clone().into_store(&corpus, 8);
         assert_eq!(store.len(), 4);
         assert!(store.contains("a"));
         assert!(store.contains("y"));
         assert_eq!(store.get("a").unwrap().len(), 8);
+        // Each stored vector is the mean of the two trained rows.
+        for id in 0..model.vocab_size() {
+            let stored = store.get(corpus.token_str(id as u32)).unwrap();
+            let (vin, vout) = (model.input_row(id), model.output_row(id));
+            for i in 0..8 {
+                assert_eq!(stored[i].to_bits(), ((vin[i] + vout[i]) * 0.5).to_bits());
+            }
+        }
     }
 
     #[test]
@@ -526,8 +846,8 @@ mod tests {
             ..base
         };
         let model = train_sgns(&corpus, &f32_cfg);
-        let sim_ab = cosine_similarity(&model.input[0], &model.input[1]);
-        let sim_ax = cosine_similarity(&model.input[0], &model.input[2]);
+        let sim_ab = cosine_similarity(model.input_row(0), model.input_row(1));
+        let sim_ax = cosine_similarity(model.input_row(0), model.input_row(2));
         assert!(
             sim_ab > sim_ax + 0.2,
             "f32 storage must still learn: {sim_ab} vs {sim_ax}"
@@ -546,6 +866,209 @@ mod tests {
         assert_eq!(model.input, int8.input);
     }
 
+    /// The per-pair trainer the fast step replaced: each pair draws its
+    /// negatives as it goes and trains one target at a time. Oracle for
+    /// [`Worker::run`].
+    fn reference_run<T: ParamScalar>(worker: &mut Worker<'_, T>, sequences: &[Vec<u32>]) {
+        let dim = worker.params.dim;
+        let mut processed = worker.processed_base;
+        let mut grad = vec![0.0f64; dim];
+        for seq in sequences {
+            for (pos, &center) in seq.iter().enumerate() {
+                let lr = worker.current_lr(processed);
+                processed += 1;
+                let radius = worker.rng.gen_range(1..=worker.cfg.window.max(1));
+                let lo = pos.saturating_sub(radius);
+                let hi = (pos + radius + 1).min(seq.len());
+                for ctx_pos in lo..hi {
+                    if ctx_pos != pos {
+                        reference_pair(worker, center, seq[ctx_pos], lr, &mut grad);
+                    }
+                }
+            }
+        }
+    }
+
+    fn reference_pair<T: ParamScalar>(
+        worker: &mut Worker<'_, T>,
+        center: u32,
+        context: u32,
+        lr: f64,
+        grad: &mut [f64],
+    ) {
+        let dim = worker.params.dim;
+        grad.fill(0.0);
+        // SAFETY: one thread; input and output rows are in separate
+        // matrices, and each output row is dropped before the next is taken.
+        let w_in = unsafe { SharedParams::row_mut(&worker.params.input, center, dim) };
+        for k in 0..=worker.cfg.negative {
+            let (target, label) = if k == 0 {
+                (context, 1.0)
+            } else {
+                let neg = match worker.neg_table {
+                    Some(t) => t.sample(&mut worker.rng) as u32,
+                    None => break,
+                };
+                if neg == context {
+                    continue;
+                }
+                (neg, 0.0)
+            };
+            // SAFETY: see `w_in` above.
+            let w_out = unsafe { SharedParams::row_mut(&worker.params.output, target, dim) };
+            let g = (label - sigmoid(T::dot(w_in, w_out))) * lr;
+            for ((ga, &wi), wo) in grad.iter_mut().zip(w_in.iter()).zip(w_out.iter_mut()) {
+                *ga += g * wo.to_f64();
+                *wo = T::from_f64(wo.to_f64() + g * wi.to_f64());
+            }
+        }
+        for (wi, &ga) in w_in.iter_mut().zip(grad.iter()) {
+            *wi = T::from_f64(wi.to_f64() + ga);
+        }
+    }
+
+    fn bits<T: ParamScalar>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Trains one seeded random corpus over random (nonzero) parameters with
+    /// the fast step and with the reference, and requires identical bits.
+    fn assert_matches_reference<T: ParamScalar>(
+        vocab: usize,
+        dim: usize,
+        window: usize,
+        negative: usize,
+        with_table: bool,
+    ) {
+        let case = format!(
+            "vocab {vocab} dim {dim} window {window} negative {negative} table {with_table}"
+        );
+        let mut rng = StdRng::seed_from_u64(
+            (vocab * 1_000_000 + dim * 1000 + window * 100 + negative) as u64,
+        );
+        let sequences: Vec<Vec<u32>> = (0..6)
+            .map(|_| {
+                let len = rng.gen_range(1..14);
+                (0..len).map(|_| rng.gen_range(0..vocab as u32)).collect()
+            })
+            .collect();
+        // Skewed weights, so frequent rows also come up as repeated
+        // negatives; a tiny vocabulary forces the duplicate-row fallback.
+        let weights: Vec<f64> = (0..vocab).map(|i| 1.0 / (i + 1) as f64).collect();
+        let table = AliasTable::new(&weights).filter(|_| with_table);
+        let mut random = |n: usize| -> Vec<T> {
+            (0..n)
+                .map(|_| T::from_f64(rng.gen_range(-0.6..0.6)))
+                .collect()
+        };
+        let fast = SharedParams {
+            input: random(vocab * dim),
+            output: random(vocab * dim),
+            dim,
+        };
+        let reference = SharedParams {
+            input: fast.input.clone(),
+            output: fast.output.clone(),
+            dim,
+        };
+        let cfg = SgnsConfig {
+            dim,
+            window,
+            negative,
+            initial_lr: 0.5,
+            ..Default::default()
+        };
+        let tokens = sequences.iter().map(Vec::len).sum::<usize>();
+        let worker = |params| Worker {
+            params,
+            cfg: &cfg,
+            neg_table: table.as_ref(),
+            rng: StdRng::seed_from_u64(0x5eed),
+            processed_base: 0,
+            total_positions: 2 * tokens,
+        };
+        // Two epochs through one worker, so the RNG streams must also end
+        // each epoch at the same point.
+        let mut fast_worker = worker(&fast);
+        let mut reference_worker = worker(&reference);
+        for epoch in 0..2 {
+            fast_worker.processed_base = epoch * tokens;
+            reference_worker.processed_base = epoch * tokens;
+            fast_worker.run(&sequences);
+            reference_run(&mut reference_worker, &sequences);
+        }
+        assert!(
+            bits(&fast.input) == bits(&reference.input),
+            "input diverged: {case}"
+        );
+        assert!(
+            bits(&fast.output) == bits(&reference.output),
+            "output diverged: {case}"
+        );
+    }
+
+    fn assert_grid_matches_reference<T: ParamScalar>() {
+        for dim in [1, 7, 32, 33] {
+            for window in [1, 5] {
+                for negative in [0, 1, 5, 15] {
+                    for vocab in [3, 40] {
+                        assert_matches_reference::<T>(vocab, dim, window, negative, true);
+                    }
+                }
+                assert_matches_reference::<T>(40, dim, window, 5, false);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_step_matches_reference_trainer_f64() {
+        assert_grid_matches_reference::<f64>();
+    }
+
+    #[test]
+    fn fast_step_matches_reference_trainer_f32() {
+        assert_grid_matches_reference::<f32>();
+    }
+
+    /// Each side-by-side dot equals `T::dot` bit for bit, for every group
+    /// size and for lengths around the four-lane boundaries.
+    #[test]
+    fn side_by_side_dots_match_dot() {
+        fn check<T: ParamScalar>() {
+            let mut rng = StdRng::seed_from_u64(3);
+            for len in [0, 1, 3, 4, 5, 8, 9, 33] {
+                for n in 1..=17 {
+                    let a: Vec<T> = (0..len)
+                        .map(|_| T::from_f64(rng.gen_range(-1.0..1.0)))
+                        .collect();
+                    let mut rows: Vec<Vec<T>> = (0..n)
+                        .map(|_| {
+                            (0..len)
+                                .map(|_| T::from_f64(rng.gen_range(-1.0..1.0)))
+                                .collect()
+                        })
+                        .collect();
+                    // An all -0.0 row against a positive `a` sums -0.0s.
+                    rows[0].iter_mut().for_each(|v| *v = T::from_f64(-0.0));
+                    let ptrs: Vec<*mut T> = rows.iter_mut().map(|r| r.as_mut_ptr()).collect();
+                    let mut out = vec![f64::NAN; n];
+                    // SAFETY: the pointers address the live rows, each of
+                    // `len` scalars, and nothing writes them meanwhile.
+                    unsafe { side_by_side_dots(&a, &ptrs, &mut out) };
+                    for (k, row) in rows.iter().enumerate() {
+                        assert_eq!(
+                            out[k].to_bits(),
+                            T::dot(&a, row).to_bits(),
+                            "len {len} n {n} k {k}"
+                        );
+                    }
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
+    }
+
     #[test]
     fn vectors_stay_finite() {
         let corpus = clustered_corpus();
@@ -556,8 +1079,6 @@ mod tests {
             ..Default::default()
         };
         let model = train_sgns(&corpus, &cfg);
-        for v in &model.input {
-            assert!(v.iter().all(|x| x.is_finite()));
-        }
+        assert!(model.input.iter().all(|x| x.is_finite()));
     }
 }

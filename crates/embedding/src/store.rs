@@ -321,13 +321,13 @@ impl EmbeddingStore {
             Some(id) => id,
             None => Arc::make_mut(&mut self.symbols).intern(token),
         };
-        self.insert_id(id, vector);
+        self.insert_id(id, &vector);
     }
 
     /// Inserts a vector under an already-interned token — the zero-hash hot
     /// path. Panics if the dimension mismatches or the id is foreign to
     /// this store's symbol table.
-    pub fn insert_id(&mut self, id: TokenId, vector: Vec<f64>) {
+    pub fn insert_id(&mut self, id: TokenId, vector: &[f64]) {
         assert_eq!(vector.len(), self.dim, "embedding dimension mismatch");
         assert!(
             id.index() < self.symbols.len(),
@@ -345,9 +345,9 @@ impl EmbeddingStore {
             NO_ROW => {
                 let row = rows.len().checked_div(dim).unwrap_or(0);
                 slots[id.index()] = u32::try_from(row).expect("row count fits u32");
-                rows.extend_from_slice(&vector);
+                rows.extend_from_slice(vector);
             }
-            slot => rows[slot as usize * dim..][..dim].copy_from_slice(&vector),
+            slot => rows[slot as usize * dim..][..dim].copy_from_slice(vector),
         }
     }
 
@@ -475,7 +475,7 @@ impl EmbeddingStore {
         let projected = pca.transform(&data);
         let mut out = EmbeddingStore::with_symbols(Arc::clone(&self.symbols), projected.cols());
         for (i, (_, id, _)) in entries.iter().enumerate() {
-            out.insert_id(*id, projected.row(i).to_vec());
+            out.insert_id(*id, projected.row(i));
         }
         out
     }
@@ -750,7 +750,7 @@ mod tests {
         let mut stringly = EmbeddingStore::new(2);
         for (i, (&tok, &id)) in tokens.iter().zip(&ids).enumerate() {
             let v = vec![i as f64, -(i as f64)];
-            dense.insert_id(id, v.clone());
+            dense.insert_id(id, &v);
             stringly.insert(tok, v);
         }
 
@@ -779,9 +779,9 @@ mod tests {
             .collect();
         let symbols = Arc::new(symbols);
         let mut s = EmbeddingStore::with_symbols(Arc::clone(&symbols), 2);
-        s.insert_id(ids[0], vec![1.5, -0.0]);
-        s.insert_id(ids[1], vec![f64::NAN, 2.0_f64.powi(-1022)]);
-        s.insert_id(ids[3], vec![f64::INFINITY, -3.25]);
+        s.insert_id(ids[0], &[1.5, -0.0]);
+        s.insert_id(ids[1], &[f64::NAN, 2.0_f64.powi(-1022)]);
+        s.insert_id(ids[3], &[f64::INFINITY, -3.25]);
         let bytes = encoded(&s);
         let back = EmbeddingStore::decode_aligned(&bytes, Arc::clone(&symbols)).unwrap();
         assert_eq!(back.len(), s.len());
@@ -817,7 +817,7 @@ mod tests {
             let mut s = EmbeddingStore::with_symbols(Arc::clone(&symbols), 3);
             s.reserve(order.len());
             for &i in order {
-                s.insert_id(ids[i], row(i));
+                s.insert_id(ids[i], &row(i));
             }
             s
         };
@@ -825,10 +825,10 @@ mod tests {
         let late_old_id = build(&[0, 1, 4, 5, 3]);
         let mut shuffled = EmbeddingStore::with_symbols(Arc::clone(&symbols), 3);
         for i in [5usize, 1, 4, 0, 3] {
-            shuffled.insert_id(ids[i], vec![9.0; 3]);
+            shuffled.insert_id(ids[i], &[9.0; 3]);
         }
         for i in [3usize, 0, 5, 1, 4] {
-            shuffled.insert_id(ids[i], row(i));
+            shuffled.insert_id(ids[i], &row(i));
         }
         assert_eq!(shuffled.len(), 5);
         let runs = |s: &EmbeddingStore| s.encode_aligned_parts(&mut ByteWriter::new()).len();
@@ -858,7 +858,7 @@ mod tests {
         let ids: Vec<TokenId> = (0..4).map(|i| symbols.intern(&format!("t{i}"))).collect();
         let mut s = EmbeddingStore::with_symbols(Arc::new(symbols), 2);
         s.reserve(4);
-        s.insert_id(ids[0], vec![1.0, 2.0]);
+        s.insert_id(ids[0], &[1.0, 2.0]);
         let mut copy = s.clone();
         assert_eq!(copy.resident_bytes(), s.resident_bytes());
         let EmbeddingBacking::Heap { rows, .. } = &copy.backing else {
@@ -866,7 +866,7 @@ mod tests {
         };
         let before = rows.as_ptr();
         for &id in &ids[1..] {
-            copy.insert_id(id, vec![3.0, 4.0]);
+            copy.insert_id(id, &[3.0, 4.0]);
         }
         let EmbeddingBacking::Heap { rows, .. } = &copy.backing else {
             unreachable!("heap store");
@@ -882,7 +882,7 @@ mod tests {
         let id = symbols.intern("a");
         let symbols = Arc::new(symbols);
         let mut s = EmbeddingStore::with_symbols(Arc::clone(&symbols), 4);
-        s.insert_id(id, vec![1.0; 4]);
+        s.insert_id(id, &[1.0; 4]);
         let bytes = encoded(&s);
         // Every truncation errors, and so does a trailing byte.
         for cut in 0..bytes.len() {

@@ -2,7 +2,8 @@
 //! produce bitwise-identical walk corpora and MF embeddings at any thread
 //! count, and `threads = 1` with `LevaConfig::fast()` must keep matching
 //! the frozen golden fingerprint below. Two mid-size MF pins freeze the
-//! randomized-SVD kernels at sizes where the Householder QR dominates.
+//! randomized-SVD kernels at sizes where the Householder QR dominates, and
+//! two RW pins freeze random walks plus single-threaded SGNS.
 
 use leva::{
     EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig, LevaError, LevaModel,
@@ -172,6 +173,57 @@ fn mf_wide_block_matches_frozen_fingerprint() {
         graph.n_nodes()
     );
     assert_mf_pinned(&graph, cfg, MF_WIDE_FP);
+}
+
+/// Asserts that the RW path (`LevaConfig::fast()` with random walks and
+/// one SGNS thread) fits `db` to the frozen fingerprint `want` at pipeline
+/// threads 1, 2 and 8. The three fits are independent, so they run side by
+/// side.
+fn assert_rw_pinned(db: &Database, base: &str, target: &str, want: u64) {
+    let fingerprints: Vec<(usize, u64)> = std::thread::scope(|scope| {
+        let fits: Vec<_> = [1usize, 2, 8]
+            .into_iter()
+            .map(|threads| {
+                let fit = scope.spawn(move || {
+                    let mut cfg = LevaConfig::fast().with_threads(threads);
+                    cfg.method = EmbeddingMethod::RandomWalk;
+                    cfg.sgns.threads = 1;
+                    let model = Leva::with_config(cfg)
+                        .base_table(base)
+                        .target(target)
+                        .fit(db)
+                        .expect("RW fit");
+                    store_fingerprint(&model.store)
+                });
+                (threads, fit)
+            })
+            .collect();
+        fits.into_iter()
+            .map(|(threads, fit)| (threads, fit.join().expect("RW fit panicked")))
+            .collect()
+    });
+    for (threads, fp) in fingerprints {
+        assert_eq!(fp, want, "RW fingerprint {fp:#x} at {threads} threads");
+    }
+}
+
+/// Frozen RW output on the synthetic database: walks plus single-threaded
+/// SGNS. Like the golden fingerprint, the constant may change only with a
+/// deliberate change to the numerics — never with a faster SGNS kernel.
+#[test]
+fn rw_golden_db_matches_frozen_fingerprint() {
+    const RW_GOLDEN_FP: u64 = 0xde0b_1223_5362_318b;
+    assert_rw_pinned(&golden_db(), "base", "target", RW_GOLDEN_FP);
+}
+
+/// Frozen RW output on a mid-size generated database, whose vocabulary is
+/// large enough that negatives rarely repeat within a pair, so the SGNS
+/// fast path (not its duplicate-row fallback) carries most of the updates.
+#[test]
+fn rw_mid_size_matches_frozen_fingerprint() {
+    const RW_MID_FP: u64 = 0x39ac_58d9_a6f7_4408;
+    let ds = leva_datasets::genes(0.1, 11);
+    assert_rw_pinned(&ds.db, &ds.base_table, &ds.target_column, RW_MID_FP);
 }
 
 /// End-to-end: the full builder pipeline produces identical embeddings at
