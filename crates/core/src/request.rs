@@ -68,17 +68,6 @@ impl FeaturizeRequest {
             feat,
         }
     }
-
-    /// Number of output rows this request will produce, when knowable
-    /// without a model (`None` for [`RowSource::BaseAll`], whose count is
-    /// the model's base-table row count).
-    pub fn row_count_hint(&self) -> Option<usize> {
-        match &self.source {
-            RowSource::BaseAll => None,
-            RowSource::BaseRows(rows) => Some(rows.len()),
-            RowSource::External(table) => Some(table.row_count()),
-        }
-    }
 }
 
 impl LevaModel {
@@ -160,16 +149,6 @@ mod tests {
             ))
             .unwrap_err();
         assert!(matches!(err, LevaError::NodeIndex(_)), "{err}");
-    }
-
-    #[test]
-    fn row_count_hints() {
-        let req = FeaturizeRequest::base_all(Featurization::RowOnly);
-        assert_eq!(req.row_count_hint(), None);
-        let req = FeaturizeRequest::base_rows(vec![1, 2], Featurization::RowOnly);
-        assert_eq!(req.row_count_hint(), Some(2));
-        let req = FeaturizeRequest::external(Table::new("t", vec!["a"]), Featurization::RowOnly);
-        assert_eq!(req.row_count_hint(), Some(0));
     }
 
     #[test]

@@ -1,21 +1,14 @@
-//! The coalescing engine: a bounded request queue drained by batch
-//! workers that merge compatible featurize requests into single model
-//! calls, executed against a hot-swappable model pinned per batch. A
-//! worker never waits for more requests: it takes what is queued when it
-//! pops, so merges come from requests that arrive while a batch runs.
+//! The serving engine: one featurize request is one
+//! [`LevaModel::featurize`] call, run on the caller's connection thread
+//! against the hot-swappable model pinned when the request starts.
 
-use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use leva::{
-    AppendReport, ArtifactError, Featurization, FeaturizeRequest, IngestOptions, LevaError,
-    LevaModel, RowSource,
-};
+use leva::{AppendReport, ArtifactError, FeaturizeRequest, IngestOptions, LevaError, LevaModel};
 use leva_linalg::Matrix;
-use leva_relational::{Table, Value};
+use leva_relational::Value;
 
 use crate::config::ServeConfig;
 use crate::metrics::{AppendPhase, LogHistogram, Metrics};
@@ -24,8 +17,6 @@ use crate::model::{ModelHandle, ServingModel};
 /// Errors surfaced by the serving layer.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The request queue is full; the client should back off and retry.
-    Overloaded,
     /// The daemon is draining and no longer accepts requests.
     ShuttingDown,
     /// The model rejected the request (bad row index, schema mismatch …).
@@ -41,7 +32,6 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::Overloaded => write!(f, "server overloaded: request queue is full"),
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::Model(e) => write!(f, "featurization failed: {e}"),
             ServeError::Artifact(e) => write!(f, "artifact rejected: {e}"),
@@ -96,59 +86,32 @@ pub struct FeatResponse {
     pub matrix: Matrix,
 }
 
-/// Where a queued request's result is delivered.
-type Response = mpsc::Receiver<Result<FeatResponse, ServeError>>;
-
-struct Pending {
-    request: FeaturizeRequest,
-    tx: mpsc::SyncSender<Result<FeatResponse, ServeError>>,
-    enqueued: Instant,
-}
-
-struct QueueState {
-    items: VecDeque<Pending>,
-    open: bool,
-}
-
-/// The request-coalescing serving engine. Cheap to share (`Arc`); the
-/// HTTP/binary front ends and the admin endpoints all talk to this.
+/// The serving engine: each request runs on its caller's thread against
+/// the model pinned at submit. Cheap to share (`Arc`); the HTTP/binary
+/// front ends and the admin endpoints all talk to this.
 pub struct Engine {
     handle: ModelHandle,
     metrics: Metrics,
-    queue: Mutex<QueueState>,
-    not_empty: Condvar,
     config: ServeConfig,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Set by [`Engine::shutdown`]; later submits are refused.
+    closed: AtomicBool,
     /// Serializes admin appends: each one is a clone-patch-swap against
     /// the current model, so two running concurrently would publish two
-    /// divergent successors and silently drop one batch.
+    /// divergent successors and silently drop one append.
     append_lock: Mutex<()>,
 }
 
 impl Engine {
-    /// Prepares `model` for serving (version 1) and spawns the configured
-    /// batch workers.
+    /// Prepares `model` for serving (version 1).
     pub fn new(model: LevaModel, config: ServeConfig) -> Result<Arc<Engine>, ServeError> {
         config.validate().map_err(ServeError::Protocol)?;
-        let engine = Arc::new(Engine {
+        Ok(Arc::new(Engine {
             handle: ModelHandle::new(ServingModel::prepare(model)),
             metrics: Metrics::new(),
-            queue: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                open: true,
-            }),
-            not_empty: Condvar::new(),
             config,
-            workers: Mutex::new(Vec::new()),
+            closed: AtomicBool::new(false),
             append_lock: Mutex::new(()),
-        });
-        let mut workers = Vec::new();
-        for _ in 0..engine.config.batch_workers {
-            let e = Arc::clone(&engine);
-            workers.push(std::thread::spawn(move || e.worker_loop()));
-        }
-        *engine.workers.lock().unwrap_or_else(|e| e.into_inner()) = workers;
-        Ok(engine)
+        }))
     }
 
     /// The engine's configuration.
@@ -166,42 +129,35 @@ impl Engine {
         self.handle.current()
     }
 
-    /// Submits one featurize request and blocks until its batch executes.
-    /// Fails fast with [`ServeError::Overloaded`] when the queue is full.
+    /// Runs one featurize request on the calling thread: pins the current
+    /// model, calls [`LevaModel::featurize`] once and stamps the result
+    /// with that model's identity, even if a swap lands mid-call. Fails
+    /// with [`ServeError::ShuttingDown`] once [`Engine::shutdown`] ran.
     pub fn submit(&self, request: FeaturizeRequest) -> Result<FeatResponse, ServeError> {
-        let rx = {
-            let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            self.enqueue(&mut q, request)?
-        };
-        self.not_empty.notify_one();
-        match rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(ServeError::ShuttingDown),
-        }
-    }
-
-    /// Queues one request under the caller's queue lock and returns the
-    /// channel its response arrives on.
-    fn enqueue(
-        &self,
-        q: &mut QueueState,
-        request: FeaturizeRequest,
-    ) -> Result<Response, ServeError> {
-        if !q.open {
+        if self.closed.load(Ordering::SeqCst) {
             return Err(ServeError::ShuttingDown);
         }
-        if q.items.len() >= self.config.queue_capacity {
-            return Err(ServeError::Overloaded);
-        }
-        let (tx, rx) = mpsc::sync_channel(1);
-        q.items.push_back(Pending {
-            request,
-            tx,
-            enqueued: Instant::now(),
-        });
-        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        Ok(rx)
+        let serving = self.handle.current();
+        let result = serving.model.featurize(&request);
+        self.metrics
+            .record_latency_us(started.elapsed().as_micros() as u64);
+        match result {
+            Ok(matrix) => {
+                self.metrics.batches.fetch_add(1, Ordering::Relaxed);
+                self.metrics.record_rows(matrix.rows() as u64);
+                Ok(FeatResponse {
+                    version: serving.version,
+                    checksum: serving.checksum,
+                    matrix,
+                })
+            }
+            Err(e) => {
+                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::Model(e))
+            }
+        }
     }
 
     /// Decodes `bytes` as a model artifact and hot-swaps it in. On decode
@@ -264,7 +220,7 @@ impl Engine {
     /// clones the pinned model (carrying its warm featurizer cache over),
     /// runs the library's incremental append — graph patch, embedding
     /// retrofit, targeted featurizer-slot patch — and hot-swaps the
-    /// patched model in as the next epoch. In-flight batches keep their
+    /// patched model in as the next epoch. In-flight requests keep their
     /// pinned pre-append model; the previous model serves throughout. On
     /// failure nothing is published and the rejection is counted.
     pub fn append_rows(
@@ -316,18 +272,10 @@ impl Engine {
         })
     }
 
-    /// Closes the queue, drains every pending request, and joins the
-    /// batch workers. Idempotent.
+    /// Refuses every later submit with [`ServeError::ShuttingDown`];
+    /// requests already running finish on their own threads. Idempotent.
     pub fn shutdown(&self) {
-        {
-            let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.open = false;
-        }
-        self.not_empty.notify_all();
-        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
-        for w in workers {
-            let _ = w.join();
-        }
+        self.closed.store(true, Ordering::SeqCst);
     }
 
     /// Renders the `/metrics` JSON document.
@@ -335,7 +283,6 @@ impl Engine {
         use std::fmt::Write as _;
         let m = &self.metrics;
         let model = self.current_model();
-        let batch = m.batch_rows_snapshot();
         let mut out = String::with_capacity(1024);
         out.push('{');
         let _ = write!(out, "\"uptime_s\":{:.3}", m.uptime_s());
@@ -351,19 +298,6 @@ impl Engine {
             write_quantiles(&mut out, &hist);
         }
         let _ = write!(out, ",\"batches\":{}", m.batches.load(Ordering::Relaxed));
-        out.push_str(",\"batch_rows\":[");
-        for (i, (lo, count)) in batch.buckets().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{lo},{count}]");
-        }
-        out.push(']');
-        let _ = write!(
-            out,
-            ",\"queue_depth\":{}",
-            m.queue_depth.load(Ordering::Relaxed)
-        );
         let _ = write!(
             out,
             ",\"cache_bytes\":{}",
@@ -426,225 +360,6 @@ impl Engine {
         out.push('}');
         out
     }
-
-    /// Rows a request contributes to the batch budget. `BaseAll` has no
-    /// cheap count before a model is pinned, so it fills the batch.
-    fn budget_rows(&self, request: &FeaturizeRequest) -> usize {
-        request
-            .row_count_hint()
-            .unwrap_or(self.config.max_batch_rows)
-            .max(1)
-    }
-
-    fn worker_loop(self: &Arc<Self>) {
-        loop {
-            let batch = {
-                let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-                while q.items.is_empty() && q.open {
-                    q = self.not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
-                }
-                let first = match q.items.pop_front() {
-                    Some(p) => p,
-                    None => return, // closed and drained
-                };
-                let mut rows = self.budget_rows(&first.request);
-                let mut batch = vec![first];
-                // Take whatever else is already queued, up to the row
-                // budget, and execute at once.
-                while rows < self.config.max_batch_rows {
-                    let Some(next) = q.items.pop_front() else {
-                        break;
-                    };
-                    rows += self.budget_rows(&next.request);
-                    batch.push(next);
-                }
-                batch
-            };
-            self.metrics
-                .queue_depth
-                .fetch_sub(batch.len() as u64, Ordering::Relaxed);
-            // Pin one model for the whole batch: every response in it is
-            // produced by, and stamped with, exactly this artifact even
-            // if a swap lands mid-execution.
-            let model = self.handle.current();
-            self.execute(&model, batch);
-        }
-    }
-
-    /// Executes one coalesced batch against a pinned model and delivers
-    /// per-request responses.
-    fn execute(&self, serving: &ServingModel, batch: Vec<Pending>) {
-        // Group indices by merge key: base-table requests merge per
-        // featurization; external tables additionally need an identical
-        // column list.
-        let mut groups: Vec<(Featurization, Option<Vec<String>>, Vec<usize>)> = Vec::new();
-        for (i, p) in batch.iter().enumerate() {
-            let cols = match &p.request.source {
-                RowSource::External(t) => Some(
-                    t.column_names()
-                        .into_iter()
-                        .map(str::to_owned)
-                        .collect::<Vec<_>>(),
-                ),
-                _ => None,
-            };
-            match groups
-                .iter_mut()
-                .find(|(f, c, _)| *f == p.request.feat && *c == cols)
-            {
-                Some((_, _, members)) => members.push(i),
-                None => groups.push((p.request.feat, cols, vec![i])),
-            }
-        }
-
-        let mut batch: Vec<Option<Pending>> = batch.into_iter().map(Some).collect();
-        for (feat, cols, members) in groups {
-            let pending: Vec<Pending> = members
-                .into_iter()
-                .map(|i| batch[i].take().expect("each request joins one group"))
-                .collect();
-            match cols {
-                None => self.run_base_group(serving, feat, pending),
-                Some(_) => self.run_external_group(serving, feat, pending),
-            }
-        }
-    }
-
-    /// Merges base-table requests (`BaseAll` + `BaseRows`) into one call.
-    fn run_base_group(&self, serving: &ServingModel, feat: Featurization, group: Vec<Pending>) {
-        let base_rows = serving.model.base_row_count();
-        let row_lists: Vec<Vec<usize>> = group
-            .iter()
-            .map(|p| match &p.request.source {
-                RowSource::BaseAll => (0..base_rows).collect(),
-                RowSource::BaseRows(rows) => rows.clone(),
-                RowSource::External(_) => unreachable!("external requests grouped separately"),
-            })
-            .collect();
-        if group.len() == 1 {
-            let p = group.into_iter().next().expect("len checked");
-            self.respond_single(serving, p);
-            return;
-        }
-        let merged: Vec<usize> = row_lists.iter().flatten().copied().collect();
-        let total = merged.len();
-        match serving
-            .model
-            .featurize(&FeaturizeRequest::base_rows(merged, feat))
-        {
-            Ok(matrix) => {
-                self.metrics.batches.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record_batch_rows(total as u64);
-                let mut offset = 0;
-                for (p, rows) in group.into_iter().zip(&row_lists) {
-                    let slice = slice_rows(&matrix, offset, rows.len());
-                    offset += rows.len();
-                    self.deliver(serving, p, Ok(slice));
-                }
-            }
-            // One bad row index poisons the merged call; retry each
-            // request alone so only the offender gets the error.
-            Err(_) => {
-                for p in group {
-                    self.respond_single(serving, p);
-                }
-            }
-        }
-    }
-
-    /// Merges external-table requests with identical columns into one
-    /// call over a concatenated table.
-    fn run_external_group(&self, serving: &ServingModel, feat: Featurization, group: Vec<Pending>) {
-        if group.len() == 1 {
-            let p = group.into_iter().next().expect("len checked");
-            self.respond_single(serving, p);
-            return;
-        }
-        let columns: Vec<String> = match &group[0].request.source {
-            RowSource::External(t) => t.column_names().into_iter().map(str::to_owned).collect(),
-            _ => unreachable!("external group holds external requests"),
-        };
-        let mut merged = Table::new("coalesced_batch", columns);
-        let mut row_counts = Vec::with_capacity(group.len());
-        let mut merge_ok = true;
-        'merge: for p in &group {
-            let RowSource::External(t) = &p.request.source else {
-                unreachable!("external group holds external requests")
-            };
-            row_counts.push(t.row_count());
-            for r in 0..t.row_count() {
-                let Ok(values) = t.row(r) else {
-                    merge_ok = false;
-                    break 'merge;
-                };
-                if merged.push_row(values).is_err() {
-                    merge_ok = false;
-                    break 'merge;
-                }
-            }
-        }
-        if !merge_ok {
-            for p in group {
-                self.respond_single(serving, p);
-            }
-            return;
-        }
-        let total = merged.row_count();
-        match serving
-            .model
-            .featurize(&FeaturizeRequest::external(merged, feat))
-        {
-            Ok(matrix) => {
-                self.metrics.batches.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record_batch_rows(total as u64);
-                let mut offset = 0;
-                for (p, rows) in group.into_iter().zip(row_counts) {
-                    let slice = slice_rows(&matrix, offset, rows);
-                    offset += rows;
-                    self.deliver(serving, p, Ok(slice));
-                }
-            }
-            Err(_) => {
-                for p in group {
-                    self.respond_single(serving, p);
-                }
-            }
-        }
-    }
-
-    /// Runs one request un-merged (singleton group or merge fallback).
-    fn respond_single(&self, serving: &ServingModel, p: Pending) {
-        let result = serving.model.featurize(&p.request);
-        if let Ok(m) = &result {
-            self.metrics.batches.fetch_add(1, Ordering::Relaxed);
-            self.metrics.record_batch_rows(m.rows() as u64);
-        }
-        self.deliver(serving, p, result);
-    }
-
-    /// Stamps and sends one response, recording latency and row/error
-    /// counters.
-    fn deliver(&self, serving: &ServingModel, p: Pending, result: Result<Matrix, LevaError>) {
-        let elapsed_us = p.enqueued.elapsed().as_micros() as u64;
-        self.metrics.record_latency_us(elapsed_us);
-        let response = match result {
-            Ok(matrix) => {
-                self.metrics.record_rows(matrix.rows() as u64);
-                Ok(FeatResponse {
-                    version: serving.version,
-                    checksum: serving.checksum,
-                    matrix,
-                })
-            }
-            Err(e) => {
-                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                Err(ServeError::Model(e))
-            }
-        };
-        // A client that gave up (disconnected) is the only way this
-        // fails; the batch must keep going.
-        let _ = p.tx.send(response);
-    }
 }
 
 /// Appends `{"count":…,"p50":…,"p95":…,"p99":…}` for `hist` to a
@@ -681,20 +396,11 @@ fn hash_file(path: &std::path::Path) -> std::io::Result<(u32, usize)> {
     }
 }
 
-/// Copies `len` rows of `m` starting at `start` into a fresh matrix.
-fn slice_rows(m: &Matrix, start: usize, len: usize) -> Matrix {
-    let mut out = Matrix::zeros(len, m.cols());
-    for i in 0..len {
-        out.row_mut(i).copy_from_slice(m.row(start + i));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use leva::{Leva, LevaConfig};
-    use leva_relational::Database;
+    use leva::{Featurization, Leva, LevaConfig};
+    use leva_relational::{Database, Table};
 
     fn fitted() -> LevaModel {
         let mut db = Database::new();
@@ -720,48 +426,73 @@ mod tests {
             .unwrap()
     }
 
-    /// Requests queued before a worker can pop are one batch: holding the
-    /// queue lock while enqueuing makes the merge deterministic, and each
-    /// slice of the merged call must equal the request featurized alone.
+    /// Concurrent submits each run alone on their own thread: every
+    /// response is bitwise the request featurized by itself, and every
+    /// request is counted once, as one featurize call or one error.
     #[test]
-    fn queued_requests_coalesce_into_one_batch() {
+    fn concurrent_submits_match_lone_featurize() {
         let model = fitted();
         let requests: Vec<FeaturizeRequest> = (0..8)
             .map(|i| FeaturizeRequest::base_rows(vec![i, 23 - i], Featurization::RowOnly))
+            .chain([
+                FeaturizeRequest::base_all(Featurization::RowPlusValue),
+                FeaturizeRequest::base_rows(vec![99], Featurization::RowOnly),
+            ])
             .collect();
-        let expected: Vec<Matrix> = requests
-            .iter()
-            .map(|r| model.featurize(r).unwrap())
-            .collect();
+        let expected: Vec<Option<Matrix>> =
+            requests.iter().map(|r| model.featurize(r).ok()).collect();
         let engine = Engine::new(model, ServeConfig::default()).unwrap();
 
-        let responses: Vec<Response> = {
-            let mut q = engine.queue.lock().unwrap();
-            requests
-                .into_iter()
-                .map(|r| engine.enqueue(&mut q, r).unwrap())
-                .collect()
-        };
-        engine.not_empty.notify_all();
-        for (rx, want) in responses.iter().zip(&expected) {
-            let got = rx.recv().unwrap().unwrap().matrix;
-            assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
-            for (x, y) in got.data().iter().zip(want.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 5;
+        // Every thread starts at once, so submits overlap from the first.
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (engine, requests, expected, start) = (&engine, &requests, &expected, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..ROUNDS * requests.len() {
+                        let which = (t + i) % requests.len();
+                        let got = engine.submit(requests[which].clone());
+                        match (&expected[which], got) {
+                            (Some(want), Ok(resp)) => {
+                                assert_eq!(resp.version, 1);
+                                let got = resp.matrix;
+                                assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+                                for (x, y) in got.data().iter().zip(want.data()) {
+                                    assert_eq!(x.to_bits(), y.to_bits(), "request {which}");
+                                }
+                            }
+                            (None, Err(ServeError::Model(_))) => {}
+                            (want, got) => panic!(
+                                "request {which}: expected ok={}, got {got:?}",
+                                want.is_some()
+                            ),
+                        }
+                    }
+                });
             }
-        }
+        });
 
         let m = engine.metrics();
+        let submitted = (THREADS * ROUNDS * requests.len()) as u64;
         let batches = m.batches.load(Ordering::Relaxed);
-        let requests = m.requests.load(Ordering::Relaxed);
-        assert!(
-            batches < requests,
-            "no coalescing happened: batches={batches} requests={requests}"
+        let errors = m.errors.load(Ordering::Relaxed);
+        assert_eq!(m.requests.load(Ordering::Relaxed), submitted);
+        assert_eq!(batches + errors, submitted);
+        assert_eq!(
+            errors,
+            (THREADS * ROUNDS) as u64,
+            "one bad request per round"
         );
-        assert_eq!(batches, 1);
-        // All 16 rows went through one call: the histogram's only bucket
-        // is [16, 32), above any single request's two rows.
-        assert_eq!(m.batch_rows_snapshot().buckets(), vec![(16, 1)]);
+        assert_eq!(m.latency_snapshot().count(), submitted);
+
         engine.shutdown();
+        let err = engine
+            .submit(FeaturizeRequest::base_all(Featurization::RowOnly))
+            .unwrap_err();
+        assert!(matches!(err, ServeError::ShuttingDown));
+        assert_eq!(m.requests.load(Ordering::Relaxed), submitted);
     }
 }

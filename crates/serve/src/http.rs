@@ -181,7 +181,8 @@ impl Server {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, drains the engine queue, and joins the acceptor.
+    /// Stops accepting, closes the engine to new requests, and joins the
+    /// acceptor.
     pub fn shutdown(&mut self) {
         request_stop(&self.stop, self.addr);
         self.engine.shutdown();
@@ -320,7 +321,7 @@ fn serve_http(
             }
             Route::Shutdown(body) => {
                 // Respond first so the caller sees the acknowledgement,
-                // then drain: close the engine queue and wake the
+                // then close the engine to new requests and wake the
                 // acceptor.
                 write_http_response(&mut writer, 200, "application/json", &body, false)?;
                 request_stop(stop, writer.stream.local_addr()?);
@@ -429,7 +430,7 @@ fn swap_body(engine: &Arc<Engine>, body: &[u8]) -> Result<(u64, u32), ServeError
 
 fn error_status(e: &ServeError) -> u16 {
     match e {
-        ServeError::Overloaded | ServeError::ShuttingDown => 503,
+        ServeError::ShuttingDown => 503,
         ServeError::Protocol(_) | ServeError::Model(_) | ServeError::Artifact(_) => 400,
         ServeError::Io(_) => 500,
     }

@@ -134,6 +134,7 @@ impl std::error::Error for ParseError {}
 /// Parses a complete JSON document (trailing bytes are an error).
 pub fn parse(s: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -147,6 +148,7 @@ pub fn parse(s: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -284,13 +286,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 _ => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Copy the whole run up to the next `"` or `\` at
+                    // once. Both are ASCII, so the run ends on a UTF-8
+                    // boundary of the input.
                     let start = self.pos;
-                    let rest = std::str::from_utf8(&self.bytes[start..]).map_err(|_| self.err())?;
-                    let c = rest.chars().next().ok_or_else(|| self.err())?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -339,6 +344,8 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("").is_err());
         assert!(parse("{\"a\":}").is_err());
+        assert!(parse("\"unterminated").is_err());
+        assert!(parse("\"trailing escape\\").is_err());
     }
 
     #[test]
@@ -353,11 +360,33 @@ mod tests {
         assert_eq!(s, "null");
     }
 
+    /// A long string parses in time linear in its length: a body near
+    /// `max_body_bytes` must not hold a connection thread for hours.
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Mixed one-, two- and four-byte scalars, 1 MiB in all.
+        let payload = "aé\u{1F600}".repeat((1 << 20) / 7 + 1);
+        assert!(payload.len() >= 1 << 20);
+        let mut doc = String::new();
+        write_string(&mut doc, &payload);
+        let started = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(payload.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "1 MiB string took {elapsed:?}"
+        );
+    }
+
     #[test]
     fn string_writer_escapes() {
         let mut s = String::new();
         write_string(&mut s, "a\"b\\c\nd\u{1}");
         assert_eq!(s, "\"a\\\"b\\\\c\\nd\\u0001\"");
         assert_eq!(parse(&s).unwrap().as_str(), Some("a\"b\\c\nd\u{1}"));
+        // Escapes between multi-byte runs.
+        let v = parse(r#""é\"ß\\\u00e9x\t""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\"ß\\\u{e9}x\t"));
     }
 }

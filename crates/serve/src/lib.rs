@@ -10,14 +10,13 @@
 //!   JSON (`POST /featurize`) and as a compact length-prefixed binary
 //!   protocol ([`wire`]), multiplexed on one port by sniffing the
 //!   4-byte [`BINARY_MAGIC`](wire::BINARY_MAGIC).
-//! * **Request coalescing.** Concurrent requests land in a bounded
-//!   queue; a batch worker takes whatever is queued when it pops, up to
-//!   `max_batch_rows`, and merges compatible requests (same
-//!   featurization, same schema) into single model calls ([`Engine`]).
-//!   There is no wait budget: a lone request executes at once, and
-//!   requests that arrive while a batch runs merge into the next one.
+//! * **Direct execution.** Each connection thread runs its request
+//!   itself: [`Engine::submit`] pins the current model, calls
+//!   `LevaModel::featurize` once and stamps the response. There is no
+//!   queue to wait in and nothing merges requests; at most
+//!   `max_connections` requests run at once.
 //! * **Hot model swap.** `/admin/swap` (or SIGHUP in the binary)
-//!   atomically replaces the model ([`ModelHandle`]); in-flight batches
+//!   atomically replaces the model ([`ModelHandle`]); in-flight requests
 //!   finish on the model they pinned, every response is stamped with the
 //!   artifact version + checksum that produced it, and a corrupt
 //!   artifact is rejected while the old model keeps serving.
@@ -30,8 +29,8 @@
 //!   the artifact `LevaModel::save` would write for it, computed before
 //!   the swap takes its write lock.
 //! * **Metrics.** `/metrics` reports request latency and socket-write
-//!   percentiles, rows/s, the coalesced batch-size distribution, queue
-//!   depth, serving-cache bytes, and swap/append counters ([`Metrics`]).
+//!   percentiles, rows/s, serving-cache bytes, and swap/append counters
+//!   ([`Metrics`]).
 //!
 //! Hand-rolled on `std::net` with zero new dependencies — the workspace
 //! builds offline.

@@ -1,6 +1,6 @@
 //! Serving metrics: lock-free counters plus power-of-two-bucket
-//! histograms for latency and coalesced batch sizes, rendered as the
-//! `/metrics` JSON document.
+//! histograms for request latency, socket writes and append phases,
+//! rendered as the `/metrics` JSON document.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,16 +166,14 @@ impl AppendPhase {
 /// All counters and histograms the daemon exposes on `/metrics`.
 pub struct Metrics {
     started: Instant,
-    /// Featurize requests accepted into the queue.
+    /// Featurize requests submitted while the engine was open.
     pub requests: AtomicU64,
     /// Total feature rows produced.
     pub rows: AtomicU64,
     /// Requests that completed with an error.
     pub errors: AtomicU64,
-    /// Coalesced featurize calls executed.
+    /// Successful featurize calls, one per request that did not error.
     pub batches: AtomicU64,
-    /// Requests currently waiting in the queue.
-    pub queue_depth: AtomicU64,
     /// Successful hot swaps.
     pub swaps: AtomicU64,
     /// Swap attempts rejected (corrupt or unreadable artifact).
@@ -190,7 +188,6 @@ pub struct Metrics {
     write_us: Mutex<LogHistogram>,
     /// One histogram per [`AppendPhase`], indexed by its position.
     append_us: Mutex<[LogHistogram; 4]>,
-    batch_rows: Mutex<LogHistogram>,
     rate: RateWindow,
 }
 
@@ -203,7 +200,6 @@ impl Metrics {
             rows: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
             swaps_rejected: AtomicU64::new(0),
             appends: AtomicU64::new(0),
@@ -212,7 +208,6 @@ impl Metrics {
             latency_us: Mutex::new(LogHistogram::default()),
             write_us: Mutex::new(LogHistogram::default()),
             append_us: Mutex::new(Default::default()),
-            batch_rows: Mutex::new(LogHistogram::default()),
             rate: RateWindow::new(),
         }
     }
@@ -224,8 +219,9 @@ impl Metrics {
         self.rate.record_at(self.started.elapsed().as_secs(), n);
     }
 
-    /// Records one end-to-end request latency (clamped to ≥ 1 µs so the
-    /// reported percentiles are never zero).
+    /// Records one request's time in the engine, from submit until its
+    /// response is handed back (clamped to ≥ 1 µs so the reported
+    /// percentiles are never zero).
     pub fn record_latency_us(&self, us: u64) {
         self.latency_us
             .lock()
@@ -250,14 +246,6 @@ impl Metrics {
         self.append_us.lock().unwrap_or_else(|e| e.into_inner())[phase as usize].record(us.max(1));
     }
 
-    /// Records the row count of one coalesced featurize call.
-    pub fn record_batch_rows(&self, rows: u64) {
-        self.batch_rows
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(rows);
-    }
-
     /// Snapshot of the latency histogram.
     pub fn latency_snapshot(&self) -> LogHistogram {
         self.latency_us
@@ -278,14 +266,6 @@ impl Metrics {
     /// [`AppendPhase::ALL`] order.
     pub fn append_phase_snapshot(&self) -> [LogHistogram; 4] {
         self.append_us
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// Snapshot of the batch-size histogram.
-    pub fn batch_rows_snapshot(&self) -> LogHistogram {
-        self.batch_rows
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
@@ -407,7 +387,7 @@ mod tests {
     }
 
     /// Steady traffic reports the per-second rate exactly, and same-second
-    /// records coalesce into one bucket.
+    /// records share one bucket.
     #[test]
     fn steady_traffic_reports_per_second_rate() {
         let w = RateWindow::new();

@@ -1,6 +1,6 @@
 //! Hot-swappable model handle: an epoch-versioned `Arc` behind an
-//! `RwLock`, so batch workers pin one consistent model for the lifetime
-//! of a batch while swaps publish a replacement atomically.
+//! `RwLock`, so each request pins one consistent model for the lifetime
+//! of its featurize call while swaps publish a replacement atomically.
 
 use std::io;
 use std::sync::{Arc, RwLock};
@@ -40,7 +40,7 @@ impl ServingModel {
             .save_to(io::sink())
             .expect("the sink cannot fail and encoding is infallible");
         // Warm the serving cache before the model becomes visible to
-        // workers; otherwise the first post-swap batch pays the build.
+        // requests; otherwise the first post-swap request pays the build.
         let _ = model.featurizer();
         Self {
             model,
@@ -70,7 +70,7 @@ impl ServingModel {
 /// Shared, swappable pointer to the current [`ServingModel`].
 ///
 /// Readers take a brief read lock only to clone the `Arc`; featurization
-/// itself runs outside the lock, so an in-flight batch keeps its pinned
+/// itself runs outside the lock, so an in-flight request keeps its pinned
 /// model alive (and consistent) even while a swap publishes a new one.
 pub struct ModelHandle {
     current: RwLock<Arc<ServingModel>>,

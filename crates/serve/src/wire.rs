@@ -646,9 +646,9 @@ mod tests {
         assert!(back.matrix.row(0)[2].is_nan());
         assert_eq!(back.matrix.row(1)[1], 1.0e300);
 
-        let err_bytes = encode_binary_response(&Err(ServeError::Overloaded));
+        let err_bytes = encode_binary_response(&Err(ServeError::ShuttingDown));
         let err = decode_binary_response(&err_bytes).unwrap_err();
-        assert!(err.to_string().contains("overloaded"));
+        assert!(err.to_string().contains("shutting down"));
     }
 
     #[test]

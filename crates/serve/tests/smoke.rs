@@ -202,11 +202,8 @@ fn server_smoke() {
         m.get("latency_us").unwrap().get("count").unwrap().as_f64(),
         Some(requests)
     );
-    // Whether two of these requests overlap is up to timing; merging
-    // itself is forced and checked by the engine's own unit test.
     let batches = m.get("batches").unwrap().as_f64().unwrap();
     assert!(batches >= 1.0 && batches <= requests, "batches={batches}");
-    assert!(!m.get("batch_rows").unwrap().as_array().unwrap().is_empty());
     assert!(
         m.get("latency_us")
             .unwrap()

@@ -1,7 +1,7 @@
-//! Hot-swap stress and fault-injection tests: threads hammer the
-//! coalescing engine while the model is swapped underneath them, and
-//! every response must be bitwise-consistent with exactly one artifact
-//! version. No loom — plain threads against the real engine.
+//! Hot-swap stress and fault-injection tests: threads hammer the engine
+//! while the model is swapped underneath them, and every response must be
+//! bitwise-consistent with exactly one artifact version. No loom — plain
+//! threads against the real engine.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,13 +84,7 @@ fn swaps_under_load_never_tear_responses() {
     }
     let expected = Arc::new(expected);
 
-    let engine = Engine::new(
-        model_a,
-        ServeConfig::default()
-            .with_max_batch_rows(64)
-            .with_batch_workers(2),
-    )
-    .unwrap();
+    let engine = Engine::new(model_a, ServeConfig::default()).unwrap();
 
     // One version must never map to two checksums.
     let version_identity: Arc<Mutex<HashMap<u64, u32>>> = Arc::new(Mutex::new(HashMap::new()));

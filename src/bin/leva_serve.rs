@@ -2,12 +2,12 @@
 //!
 //! Loads a fitted model artifact (see `LevaModel::save`) and serves
 //! featurization over HTTP/JSON and the compact binary protocol on one
-//! port, with request coalescing, `/metrics`, and hot model swap via
-//! `POST /admin/swap` or SIGHUP (re-reads the artifact path).
+//! port, one featurize call per request on its connection's thread, with
+//! `/metrics` and hot model swap via `POST /admin/swap` or SIGHUP
+//! (re-reads the artifact path).
 //!
 //! ```text
-//! leva-serve model.leva [--addr 127.0.0.1:7878] [--max-batch-rows 512]
-//!            [--batch-workers 1]
+//! leva-serve model.leva [--addr 127.0.0.1:7878]
 //! ```
 
 use std::process::ExitCode;
@@ -47,32 +47,20 @@ struct Args {
     config: ServeConfig,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line after the program name.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut artifact = None;
     let mut config = ServeConfig::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
-        let mut knob = |name: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{name} needs a value"))
-        };
         match arg.as_str() {
-            "--addr" => config.addr = knob("--addr")?,
-            "--max-batch-rows" => {
-                config.max_batch_rows = knob("--max-batch-rows")?
-                    .parse()
-                    .map_err(|_| "--max-batch-rows must be an integer".to_owned())?
-            }
-            "--batch-workers" => {
-                config.batch_workers = knob("--batch-workers")?
-                    .parse()
-                    .map_err(|_| "--batch-workers must be an integer".to_owned())?
+            "--addr" => {
+                config.addr = args
+                    .next()
+                    .ok_or_else(|| "--addr needs a value".to_owned())?
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: leva-serve <artifact> [--addr HOST:PORT] [--max-batch-rows N] \
-                     [--batch-workers N]"
-                        .to_owned(),
-                )
+                return Err("usage: leva-serve <artifact> [--addr HOST:PORT]".to_owned())
             }
             other if artifact.is_none() && !other.starts_with('-') => {
                 artifact = Some(std::path::PathBuf::from(other))
@@ -86,7 +74,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -154,4 +142,36 @@ fn main() -> ExitCode {
     drop(server); // joins the acceptor and drains the engine
     eprintln!("leva-serve stopped");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn addr_is_parsed() {
+        let args = parse(&["model.leva", "--addr", "0.0.0.0:9000"]).unwrap();
+        assert_eq!(args.artifact, std::path::PathBuf::from("model.leva"));
+        assert_eq!(args.config.addr, "0.0.0.0:9000");
+        assert!(parse(&["model.leva", "--addr"]).is_err());
+    }
+
+    #[test]
+    fn removed_batching_flags_are_unknown() {
+        for flag in ["--max-batch-rows", "--batch-workers"] {
+            let err = parse(&["model.leva", flag, "4"]).err().unwrap();
+            assert!(err.starts_with("unknown argument"), "{flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn missing_artifact_is_an_error() {
+        let err = parse(&["--addr", "127.0.0.1:0"]).err().unwrap();
+        assert!(err.contains("missing artifact path"), "{err}");
+        assert!(parse(&[]).is_err());
+    }
 }

@@ -307,7 +307,7 @@ fn save_load_save_is_a_fixed_point_for_chained_artifacts() {
 /// the saved base, so the mapped load replays nothing, stays zero-copy and
 /// featurizes bitwise like the heap load, appended rows included.
 #[test]
-fn mmap_load_replays_deltas_heap_side() {
+fn mmap_load_of_an_appended_model_is_zero_copy_and_bitwise() {
     let (_, path, _) = appended_and_saved("mmap");
     let heap = LevaModel::load(&path).unwrap();
     let mapped = LevaModel::load_mmap(&path).unwrap();
