@@ -10,11 +10,12 @@
 use leva::{EmbeddingMethod, Featurization, FeaturizeRequest, Leva, LevaConfig};
 use leva_datasets::{financial, genes, restbase};
 use leva_embedding::{
-    generate_walks, proximity_matrix, train_sgns, MfConfig, SgnsConfig, WalkConfig,
+    build_mf_embedding, generate_walks, proximity_matrix, train_sgns, MfConfig, SgnsConfig,
+    WalkConfig,
 };
 use leva_graph::{build_graph, GraphConfig};
 use leva_interner::codec::{crc32, Crc32};
-use leva_linalg::{randomized_svd, thin_q, Matrix, RsvdOptions};
+use leva_linalg::{randomized_svd, sym_eig, thin_q, Matrix, RsvdOptions};
 use leva_textify::{textify, TextifyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,8 +78,10 @@ fn bench_proximity_and_rsvd() {
 
 /// The range finder's QR at the sample-block shapes of the MF fits in
 /// `bench_all`: `fit_mf` (financial scale 3, dim 32 + oversample 6) and
-/// `serve_*` (restbase scale 5, dim 128 + oversample 6).
-fn bench_thin_q() {
+/// `serve_*` (restbase scale 5, dim 128 + oversample 6). At the `serve_*`
+/// shape, also the randomized SVD's Gram product `B Bᵀ` and the Jacobi
+/// eigendecomposition of its 134 × 134 result.
+fn bench_dense_kernels() {
     let mut rng = StdRng::seed_from_u64(1);
     for (name, n, k) in [
         ("linalg/thin_q_24k_x38", 24_000, 38),
@@ -88,6 +91,11 @@ fn bench_thin_q() {
         let y = Matrix::from_vec(n, k, data);
         bench(name, || thin_q(&y));
     }
+    let data = (0..5_800 * 134).map(|_| rng.gen_range(-1.0..1.0)).collect();
+    let bt = Matrix::from_vec(5_800, 134, data);
+    bench("linalg/gram_5.8k_x134", || bt.gram_threads(1));
+    let gram = bt.gram_threads(1);
+    bench("linalg/sym_eig_134", || sym_eig(&gram));
 }
 
 /// CRC-32 over a payload the size of the `serve_append` model's `STOR`
@@ -108,16 +116,20 @@ fn bench_crc32() {
 /// The copy-and-stamp half of a serve-side append at the `serve_append`
 /// model scale (restbase scale 5, MF at dim 128): the stamp encodes the
 /// artifact into a sink for its CRC-32 and length, and the clone (dropped
-/// inside the timed region) is what every append starts from.
+/// inside the timed region) is what every append starts from. The MF
+/// embedding of that model's graph is the bulk of every `serve_*` set-up.
 fn bench_model_stamp() {
     let ds = restbase(5.0, 7);
     let mut cfg = LevaConfig::fast().with_dim(128);
     cfg.method = EmbeddingMethod::MatrixFactorization;
-    let model = Leva::with_config(cfg)
+    let model = Leva::with_config(cfg.clone())
         .base_table(&ds.base_table)
         .target(&ds.target_column)
         .fit(&ds.db)
         .expect("fit");
+    bench("embedding/mf_restbase_d128", || {
+        build_mf_embedding(&model.graph, &cfg.mf)
+    });
     let (_, len) = model.save_to(std::io::sink()).expect("sink");
     gauge("model/artifact_serve_append_scale", len);
     bench("model/stamp_serve_append_scale", || {
@@ -269,7 +281,7 @@ fn bench_deployment() {
 fn main() {
     bench_textify();
     bench_graph_construction();
-    bench_thin_q();
+    bench_dense_kernels();
     bench_crc32();
     bench_model_stamp();
     bench_proximity_and_rsvd();

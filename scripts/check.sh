@@ -9,7 +9,7 @@ cargo build --release
 echo "==> cargo test --workspace -q (every crate's unit, integration and doc tests)"
 cargo test --workspace -q
 
-echo "==> cargo test --release (bitwise QR, CRC-32 and SGNS oracles, flat store and stamp, MF and RW pins under optimized codegen)"
+echo "==> cargo test --release (bitwise QR, Jacobi eigen, Gram, CRC-32 and SGNS oracles, flat store and stamp, MF and RW pins under optimized codegen)"
 cargo test --release -q -p leva-linalg
 cargo test --release -q -p leva-interner
 cargo test --release -q -p leva-embedding -p leva-serve
