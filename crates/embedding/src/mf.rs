@@ -124,12 +124,18 @@ mod tests {
     /// Two tables of users; users 0..10 share city "alpha", 10..20 share
     /// "beta". Related rows should embed closer.
     fn clustered_graph() -> LevaGraph {
+        clustered_graph_of(20)
+    }
+
+    /// Two tables of `users` rows each, split into two clusters by city
+    /// and status.
+    fn clustered_graph_of(users: usize) -> LevaGraph {
         let mut db = Database::new();
         let mut a = Table::new("people", vec!["name", "city"]);
         let mut b = Table::new("accounts", vec!["name", "status"]);
-        for i in 0..20 {
-            let city = if i < 10 { "alpha" } else { "beta" };
-            let status = if i < 10 { "open" } else { "closed" };
+        for i in 0..users {
+            let city = if i < users / 2 { "alpha" } else { "beta" };
+            let status = if i < users / 2 { "open" } else { "closed" };
             a.push_row(vec![format!("user{i}").into(), city.into()])
                 .unwrap();
             b.push_row(vec![format!("user{i}").into(), status.into()])
@@ -208,7 +214,9 @@ mod tests {
 
     #[test]
     fn bitwise_identical_across_thread_counts() {
-        let g = clustered_graph();
+        // Enough nodes that every n × dim product of the factorization and
+        // the propagation gets a worker per thread, up to 8.
+        let g = clustered_graph_of(1000);
         let base = MfConfig {
             dim: 12,
             spectral_propagation: true,
@@ -216,6 +224,10 @@ mod tests {
         };
         let seq_store = build_mf_embedding(&g, &MfConfig { threads: 1, ..base });
         for threads in [0, 2, 8] {
+            assert_eq!(
+                leva_linalg::band_workers(g.n_nodes() * base.dim, base.dim, threads),
+                leva_linalg::resolve_threads(threads).min(8)
+            );
             let par = build_mf_embedding(&g, &MfConfig { threads, ..base });
             for node in ["row::people::0", "user3", "alpha"] {
                 assert_eq!(

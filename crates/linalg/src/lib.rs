@@ -24,7 +24,7 @@ mod vecops;
 
 pub use dense::Matrix;
 pub use eig::{sym_eig, SymEig};
-pub use parallel::{for_each_row_band, resolve_threads};
+pub use parallel::{band_workers, for_each_row_band, resolve_threads};
 pub use pca::Pca;
 pub use prone::{bessel_i, spectral_propagate, ProneOptions};
 pub use qr::thin_q;

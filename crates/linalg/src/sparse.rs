@@ -242,6 +242,7 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::band_workers;
 
     fn sample() -> CsrMatrix {
         // [[1, 0, 2],
@@ -299,35 +300,40 @@ mod tests {
 
     #[test]
     fn spmm_threads_bitwise_identical() {
+        // Wide dense operands, so that every thread count below gets a
+        // worker per thread in both products.
+        let (rows, cols, width, tr_width) = (80, 72, 3300, 3700);
         let mut triplets = Vec::new();
         let mut state = 1u64;
-        for _ in 0..400 {
+        for _ in 0..800 {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let r = (state >> 33) % 31;
-            let c = (state >> 12) % 29;
+            let r = (state >> 33) % rows as u64;
+            let c = (state >> 12) % cols as u64;
             let v = ((state >> 3) % 1000) as f64 / 7.0 - 71.0;
             triplets.push((r as u32, c as u32, v));
         }
-        let m = CsrMatrix::from_triplets(31, 29, triplets);
+        let m = CsrMatrix::from_triplets(rows, cols, triplets);
         let b = Matrix::from_vec(
-            29,
-            5,
-            (0..29 * 5)
+            cols,
+            width,
+            (0..cols * width)
                 .map(|i| ((i as u64 * 2654435761) % 977) as f64 / 13.0 - 37.0)
                 .collect(),
         );
         let bt = Matrix::from_vec(
-            31,
-            5,
-            (0..31 * 5)
+            rows,
+            tr_width,
+            (0..rows * tr_width)
                 .map(|i| ((i as u64 * 40503) % 911) as f64 / 11.0 - 41.0)
                 .collect(),
         );
         let seq = m.spmm_dense_threads(&b, 1);
         let tr_seq = m.tr_spmm_dense_threads(&bt, 1);
         for threads in [2, 3, 8, 64] {
+            assert_eq!(band_workers(rows * width, width, threads), threads);
+            assert_eq!(band_workers(cols * tr_width, tr_width, threads), threads);
             assert_eq!(
                 seq.data(),
                 m.spmm_dense_threads(&b, threads).data(),
