@@ -1,5 +1,5 @@
 //! Diagnostic: embedding-quality sensitivity probe (not a paper experiment).
-//! Usage: probe_quality <dataset> <dim> <epochs> <walks> <len> [mf|rw]
+//! Usage: `probe_quality <dataset> <dim> <epochs> <walks> <len> [mf|rw]`
 
 use leva_bench::protocol::{eval_model, prepare, Approach, EvalOptions, ModelKind};
 use leva_datasets::by_name;

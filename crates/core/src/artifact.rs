@@ -53,7 +53,7 @@ use leva_discovery::{DiscoveredRelationship, DiscoveryConfig};
 use leva_embedding::{EmbeddingStore, Precision};
 use leva_graph::{LevaGraph, RelationshipInjection};
 use leva_interner::codec::{crc32, ByteReader, ByteWriter, Crc32, DecodeError};
-use leva_interner::{MmapFile, TokenInterner};
+use leva_interner::{MappedChunk, MmapFile, TokenInterner};
 use leva_relational::{CellIssue, IngestReport, IssueReason};
 use leva_textify::{HistogramChoice, TokenizedDatabase};
 use std::fmt;
@@ -280,25 +280,13 @@ impl LevaModel {
         finish_chunk(&r, "TOKD")?;
 
         let (grph, stor) = (&chunks.grph, &chunks.stor);
-        let graph = match mapped {
-            Some(map) => LevaGraph::from_mapped(
-                Arc::clone(&symbols),
-                Arc::clone(map),
-                grph.offset,
-                grph.payload.len(),
-                grph.crc,
-            ),
+        let graph = match grph.mapped(mapped).map_err(in_chunk("GRPH"))? {
+            Some(chunk) => LevaGraph::from_mapped(Arc::clone(&symbols), chunk),
             None => LevaGraph::decode_aligned(grph.payload, Arc::clone(&symbols)),
         }
         .map_err(in_chunk("GRPH"))?;
-        let store = match mapped {
-            Some(map) => EmbeddingStore::from_mapped(
-                Arc::clone(&symbols),
-                Arc::clone(map),
-                stor.offset,
-                stor.payload.len(),
-                stor.crc,
-            ),
+        let store = match stor.mapped(mapped).map_err(in_chunk("STOR"))? {
+            Some(chunk) => EmbeddingStore::from_mapped(Arc::clone(&symbols), chunk),
             None => EmbeddingStore::decode_aligned(stor.payload, Arc::clone(&symbols)),
         }
         .map_err(in_chunk("STOR"))?;
@@ -443,6 +431,20 @@ struct RawChunk<'a> {
     payload: &'a [u8],
     offset: usize,
     crc: u32,
+}
+
+impl RawChunk<'_> {
+    /// This chunk's payload inside `map`, served in place with its CRC
+    /// deferred; `None` when there is no mapping or its words cannot be
+    /// viewed in place, so the payload is heap-decoded instead.
+    fn mapped(&self, map: Option<&Arc<MmapFile>>) -> Result<Option<MappedChunk>, DecodeError> {
+        match map {
+            Some(map) => {
+                MappedChunk::new(Arc::clone(map), self.offset, self.payload.len(), self.crc)
+            }
+            None => Ok(None),
+        }
+    }
 }
 
 /// The parsed chunk table of an artifact (header validated, every chunk

@@ -17,7 +17,7 @@
 
 #![warn(missing_docs)]
 
-use leva_linalg::resolve_threads;
+use leva_linalg::par_map_range;
 use leva_relational::{Column, DataType, Database};
 use std::collections::HashSet;
 
@@ -266,38 +266,15 @@ fn build_signatures(db: &Database, cfg: &DiscoveryConfig) -> Vec<CandidateColumn
                 .map(move |c| (ti, table.name(), c))
         })
         .collect();
-    let n = candidates.len();
-    let workers = resolve_threads(cfg.threads).min(n.max(1));
-    let signature_size = cfg.signature_size;
-    let build_chunk = |band: &[(usize, &str, &Column)]| -> Vec<CandidateColumn> {
-        band.iter()
-            .map(|&(ti, tname, col)| CandidateColumn {
-                table_idx: ti,
-                table: tname.to_owned(),
-                column: col.name().to_owned(),
-                signature: ColumnSignature::build(col, signature_size),
-            })
-            .collect()
-    };
-    if workers <= 1 {
-        return build_chunk(&candidates);
-    }
-    let chunk = n.div_ceil(workers);
-    let chunks: Option<Vec<Vec<CandidateColumn>>> = crossbeam::scope(|s| {
-        let handles: Vec<_> = candidates
-            .chunks(chunk)
-            .map(|band| s.spawn(move |_| build_chunk(band)))
-            .collect();
-        handles.into_iter().map(|h| h.join().ok()).collect()
+    par_map_range(candidates.len(), cfg.threads, |i| {
+        let (table_idx, table, col) = candidates[i];
+        CandidateColumn {
+            table_idx,
+            table: table.to_owned(),
+            column: col.name().to_owned(),
+            signature: ColumnSignature::build(col, cfg.signature_size),
+        }
     })
-    .ok()
-    .flatten();
-    match chunks {
-        Some(chunks) => chunks.into_iter().flatten().collect(),
-        // A worker died (unreachable for well-formed columns): redo the
-        // pass sequentially so the caller still gets a complete result.
-        None => build_chunk(&candidates),
-    }
 }
 
 /// Scans all cross-table column pairs and proposes relationships whose

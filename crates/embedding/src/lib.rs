@@ -32,7 +32,7 @@ pub use node2vec::{node2vec_walks, Node2VecConfig};
 pub use quant::{Precision, QuantizedStore};
 pub use retrofit::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
 pub use sgns::{train_sgns, SgnsConfig, SgnsModel};
-pub use store::{DenseView, EmbeddingBacking, EmbeddingStore, MappedStore, UnknownTokenError};
+pub use store::{DenseView, EmbeddingBacking, EmbeddingStore, UnknownTokenError};
 pub use walks::{build_alias_tables, estimated_alias_bytes, generate_walks, WalkConfig};
 
 pub use leva_interner::{TokenId, TokenInterner};

@@ -283,12 +283,12 @@ fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsMo
         // estimate — otherwise workers with long sentences clamp to `min_lr`
         // early while others never finish decaying.
         let chunk_tokens = chunk_token_counts(&chunks);
-        let _ = crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for (t, chunk) in chunks.into_iter().enumerate() {
                 let shared_ref = &shared;
                 let neg_ref = neg_table.as_ref();
                 let own_tokens = chunk_tokens[t];
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut worker = Worker {
                         params: shared_ref,
                         cfg,
@@ -304,9 +304,6 @@ fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsMo
                 });
             }
         });
-        // A crashed worker only loses its share of the gradient updates —
-        // Hogwild training already tolerates lost updates, so don't turn a
-        // worker failure into a process abort.
     }
 
     let SharedParams { input, output, dim } = shared;

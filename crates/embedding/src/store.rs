@@ -17,10 +17,9 @@
 //! either copied onto the heap ([`EmbeddingStore::decode_aligned`]) or
 //! served in place from a file mapping ([`EmbeddingStore::from_mapped`]).
 
-use leva_interner::codec::{crc32, f64_le_bytes, ByteReader, ByteWriter, DecodeError};
-use leva_interner::{MmapFile, TokenId, TokenInterner};
+use leva_interner::codec::{f64_le_bytes, ByteReader, ByteWriter, DecodeError};
+use leva_interner::{MappedArray, MappedChunk, TokenId, TokenInterner};
 use leva_linalg::{Matrix, Pca};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// A token → vector map with a fixed dimensionality, stored densely over
@@ -39,7 +38,8 @@ pub struct EmbeddingStore {
 /// is one copy of each array and dropping it two frees. `Mapped` serves
 /// the matrix straight out of a memory-mapped v3 artifact: nothing is
 /// copied at load, rows are `&[f64]` views into the mapping, and the
-/// chunk's CRC is verified lazily on first featurization touch.
+/// chunk's CRC is verified lazily on first featurization touch. Cloning a
+/// mapped store shares the mapping and the verdict.
 #[derive(Debug)]
 pub enum EmbeddingBacking {
     /// The packed matrix on the heap.
@@ -52,7 +52,14 @@ pub enum EmbeddingBacking {
         rows: Vec<f64>,
     },
     /// Zero-copy rows inside a mapped artifact.
-    Mapped(MappedStore),
+    Mapped {
+        /// Token id → packed row index, as for `Heap`.
+        slots: Vec<u32>,
+        /// The packed rows, viewed in the mapping.
+        rows: MappedArray<f64>,
+        /// The whole `STOR` payload, for the deferred CRC.
+        chunk: MappedChunk,
+    },
 }
 
 impl Clone for EmbeddingBacking {
@@ -69,73 +76,16 @@ impl Clone for EmbeddingBacking {
                     rows: copy,
                 }
             }
-            Self::Mapped(m) => Self::Mapped(m.clone()),
+            Self::Mapped { slots, rows, chunk } => Self::Mapped {
+                slots: slots.clone(),
+                rows: rows.clone(),
+                chunk: chunk.clone(),
+            },
         }
     }
-}
-
-/// Lazy-CRC verification state of a mapped chunk.
-const CRC_UNCHECKED: u8 = 0;
-const CRC_OK: u8 = 1;
-const CRC_BAD: u8 = 2;
-
-/// The mapped variant of [`EmbeddingBacking`]: a dense `count × dim` f64
-/// matrix living inside an `Arc<MmapFile>`, addressed by numeric offsets
-/// (never self-referential borrows). Cloning shares the mapping and the
-/// verification state.
-#[derive(Debug, Clone)]
-pub struct MappedStore {
-    map: Arc<MmapFile>,
-    /// Token id → packed row index; `NO_ROW` for tokens without a vector.
-    slots: Vec<u32>,
-    /// Byte offset of the f64 matrix inside the map (8-aligned).
-    data_offset: usize,
-    /// Number of packed rows.
-    count: usize,
-    /// Full STOR payload range and declared CRC, for lazy verification.
-    payload_offset: usize,
-    payload_len: usize,
-    crc: u32,
-    /// Tri-state: unchecked → ok | bad. Shared across clones so the chunk
-    /// is hashed at most once per process.
-    verified: Arc<AtomicU8>,
 }
 
 const NO_ROW: u32 = u32::MAX;
-
-impl MappedStore {
-    /// The whole packed `count × dim` matrix.
-    fn matrix(&self, dim: usize) -> &[f64] {
-        debug_assert!(self.data_offset + self.count * dim * 8 <= self.map.len());
-        // SAFETY: construction validated that the `count × dim` matrix lies
-        // inside the map and that `data_offset` is 8-aligned; any f64 bit
-        // pattern is a valid value. Little-endian only — the constructor
-        // falls back to a heap decode on big-endian targets.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.map.as_ptr().add(self.data_offset) as *const f64,
-                self.count * dim,
-            )
-        }
-    }
-
-    /// Verifies the payload CRC on first call; later calls are an atomic
-    /// load. `true` means the mapped bytes match the artifact's checksum.
-    fn verify(&self) -> bool {
-        match self.verified.load(Ordering::Acquire) {
-            CRC_OK => true,
-            CRC_BAD => false,
-            _ => {
-                let payload =
-                    &self.map[self.payload_offset..self.payload_offset + self.payload_len];
-                let ok = crc32(payload) == self.crc;
-                let state = if ok { CRC_OK } else { CRC_BAD };
-                self.verified.store(state, Ordering::Release);
-                ok
-            }
-        }
-    }
-}
 
 /// A token was requested from a store that does not hold it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,7 +153,7 @@ impl EmbeddingStore {
 
     /// True when coordinates are served zero-copy from a mapped artifact.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.backing, EmbeddingBacking::Mapped(_))
+        matches!(self.backing, EmbeddingBacking::Mapped { .. })
     }
 
     /// Bytes of coordinate data resident on the heap (the slot table and,
@@ -214,7 +164,7 @@ impl EmbeddingStore {
                 slots.capacity() * std::mem::size_of::<u32>()
                     + rows.capacity() * std::mem::size_of::<f64>()
             }
-            EmbeddingBacking::Mapped(m) => m.slots.capacity() * 4,
+            EmbeddingBacking::Mapped { slots, .. } => slots.capacity() * std::mem::size_of::<u32>(),
         }
     }
 
@@ -224,7 +174,7 @@ impl EmbeddingStore {
     pub fn mapped_bytes(&self) -> usize {
         match &self.backing {
             EmbeddingBacking::Heap { .. } => 0,
-            EmbeddingBacking::Mapped(m) => m.payload_len,
+            EmbeddingBacking::Mapped { chunk, .. } => chunk.len(),
         }
     }
 
@@ -235,7 +185,7 @@ impl EmbeddingStore {
     pub fn verify_mapped(&self) -> bool {
         match &self.backing {
             EmbeddingBacking::Heap { .. } => true,
-            EmbeddingBacking::Mapped(m) => m.verify(),
+            EmbeddingBacking::Mapped { chunk, .. } => chunk.verify(|| true),
         }
     }
 
@@ -243,12 +193,12 @@ impl EmbeddingStore {
     /// mutation — mapped artifacts are immutable by construction).
     /// The slot table and matrix are copied as they are, one copy each.
     fn ensure_heap(&mut self) {
-        if let EmbeddingBacking::Mapped(m) = &self.backing {
-            let mut slots = m.slots.clone();
+        if let EmbeddingBacking::Mapped { slots, rows, .. } = &self.backing {
+            let mut slots = slots.clone();
             if slots.len() < self.symbols.len() {
                 slots.resize(self.symbols.len(), NO_ROW);
             }
-            let rows = m.matrix(self.dim).to_vec();
+            let rows = rows.to_vec();
             self.backing = EmbeddingBacking::Heap { slots, rows };
         }
     }
@@ -297,13 +247,10 @@ impl EmbeddingStore {
 
     /// Number of stored tokens.
     pub fn len(&self) -> usize {
-        match &self.backing {
+        match self.dim {
             // Zero-width rows occupy no matrix space; count their slots.
-            EmbeddingBacking::Heap { slots, .. } if self.dim == 0 => {
-                slots.iter().filter(|&&s| s != NO_ROW).count()
-            }
-            EmbeddingBacking::Heap { rows, .. } => rows.len() / self.dim,
-            EmbeddingBacking::Mapped(m) => m.count,
+            0 => self.slots().iter().filter(|&&s| s != NO_ROW).count(),
+            dim => self.matrix().len() / dim,
         }
     }
 
@@ -377,7 +324,7 @@ impl EmbeddingStore {
     fn slots(&self) -> &[u32] {
         match &self.backing {
             EmbeddingBacking::Heap { slots, .. } => slots,
-            EmbeddingBacking::Mapped(m) => &m.slots,
+            EmbeddingBacking::Mapped { slots, .. } => slots,
         }
     }
 
@@ -390,7 +337,7 @@ impl EmbeddingStore {
     fn matrix(&self) -> &[f64] {
         match &self.backing {
             EmbeddingBacking::Heap { rows, .. } => rows,
-            EmbeddingBacking::Mapped(m) => m.matrix(self.dim),
+            EmbeddingBacking::Mapped { rows, .. } => rows,
         }
     }
 
@@ -548,47 +495,27 @@ impl EmbeddingStore {
         })
     }
 
-    /// Builds a zero-copy store over an aligned `STOR` payload inside
-    /// `map`.
+    /// Builds a zero-copy store over the aligned `STOR` payload of a
+    /// mapped `chunk`.
     ///
     /// Runs the shared layout validation — offsets, alignment, id ordering
     /// and the exact payload length — in `O(count)`, independent of `dim`;
     /// the payload CRC is deferred to [`EmbeddingStore::verify_mapped`]
-    /// (lazy, first featurization touch). Big-endian targets and
-    /// heap-backed "mappings", where the f64 matrix cannot be viewed in
-    /// place, decode to the heap instead.
+    /// (lazy, first featurization touch).
     pub fn from_mapped(
         symbols: Arc<TokenInterner>,
-        map: Arc<MmapFile>,
-        payload_offset: usize,
-        payload_len: usize,
-        crc: u32,
+        chunk: MappedChunk,
     ) -> Result<EmbeddingStore, DecodeError> {
-        let end = payload_offset
-            .checked_add(payload_len)
-            .filter(|&e| e <= map.len())
-            .ok_or(DecodeError::LengthOverflow)?;
-        if !payload_offset.is_multiple_of(8) {
-            return Err(DecodeError::Invalid("STOR payload offset not 8-aligned"));
-        }
-        let payload = &map[payload_offset..end];
-        if !cfg!(target_endian = "little") || !map.is_mapped() {
-            return Self::decode_aligned(payload, symbols);
-        }
-        let layout = StoreLayout::parse(payload, symbols.len())?;
+        let layout = StoreLayout::parse(chunk.payload(), symbols.len())?;
+        let rows = chunk.array(layout.data_at, layout.count * layout.dim)?;
         Ok(EmbeddingStore {
             dim: layout.dim,
             symbols,
-            backing: EmbeddingBacking::Mapped(MappedStore {
-                map,
+            backing: EmbeddingBacking::Mapped {
                 slots: layout.slots,
-                data_offset: payload_offset + layout.data_at,
-                count: layout.count,
-                payload_offset,
-                payload_len,
-                crc,
-                verified: Arc::new(AtomicU8::new(CRC_UNCHECKED)),
-            }),
+                rows,
+                chunk,
+            },
         })
     }
 }

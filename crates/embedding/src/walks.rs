@@ -32,7 +32,7 @@
 
 use crate::corpus::Corpus;
 use leva_graph::{AliasTable, LevaGraph};
-use leva_linalg::resolve_threads;
+use leva_linalg::par_map_range;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -173,41 +173,6 @@ fn walk_seed(base: u64, iteration: u64, slot: u64, start: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Maps `f` over `0..n`, sharding contiguous index chunks across `threads`
-/// workers (`0` = available parallelism) and concatenating results in index
-/// order. With one effective worker the closure runs inline.
-fn par_map_range<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = resolve_threads(threads).min(n.max(1));
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let chunks: Option<Vec<Vec<T>>> = crossbeam::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                s.spawn(move |_| (lo..hi).map(f).collect::<Vec<T>>())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().ok()).collect()
-    })
-    .ok()
-    .flatten();
-    match chunks {
-        Some(chunks) => chunks.into_iter().flatten().collect(),
-        // A worker died (the per-index closures are panic-free; this guards
-        // against spawn failures): redo the map inline so the caller still
-        // gets the full deterministic result.
-        None => (0..n).map(f).collect(),
-    }
 }
 
 /// Precomputes alias tables per node for weighted transitions. The memory

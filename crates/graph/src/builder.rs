@@ -8,11 +8,9 @@
 
 use crate::relationships::{ExtraEdgeGroup, RelationshipInjection};
 use crate::voting::TokenVotes;
-use leva_interner::codec::crc32;
-use leva_interner::{MmapFile, TokenId, TokenInterner};
+use leva_interner::{MappedArray, MappedChunk, TokenId, TokenInterner};
 use leva_linalg::CsrMatrix;
 use leva_textify::TokenizedDatabase;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Sentinel in the dense token→value-node index: "no value node".
@@ -182,98 +180,6 @@ impl<'g> IntoIterator for Neighbors<'g> {
     }
 }
 
-/// Deferred-validation states of a mapped adjacency (CRC plus symmetry),
-/// mirroring the embedding store's lazy-CRC settle.
-pub(crate) const ADJ_UNCHECKED: u8 = 0;
-const ADJ_OK: u8 = 1;
-const ADJ_BAD: u8 = 2;
-
-/// A CSR adjacency served zero-copy from a mapped v3 `GRPH` payload: the
-/// offset/target/weight arrays are viewed in place through numeric offsets
-/// into the shared mapping. Geometry (bounds, alignment, monotonic
-/// offsets, in-range targets) is validated eagerly at construction —
-/// memory safety never depends on the deferred checks — while the payload
-/// CRC and adjacency symmetry settle on first [`MappedAdjacency::verify`].
-#[derive(Debug, Clone)]
-pub(crate) struct MappedAdjacency {
-    pub(crate) map: Arc<MmapFile>,
-    /// Absolute byte offset of the `n_nodes + 1` CSR offsets (8-aligned).
-    pub(crate) offsets_off: usize,
-    /// Absolute byte offset of the `n_directed` `u32` targets (4-aligned).
-    pub(crate) targets_off: usize,
-    /// Absolute byte offset of the `n_directed` `f64` weights (8-aligned).
-    pub(crate) weights_off: usize,
-    pub(crate) n_nodes: usize,
-    pub(crate) n_directed: usize,
-    /// Whole-payload extent and expected CRC for the deferred settle.
-    pub(crate) payload_offset: usize,
-    pub(crate) payload_len: usize,
-    pub(crate) crc: u32,
-    pub(crate) verified: Arc<AtomicU8>,
-}
-
-impl MappedAdjacency {
-    pub(crate) fn offsets(&self) -> &[u64] {
-        // SAFETY: the constructor validated that `offsets_off` is 8-aligned
-        // and `(n_nodes + 1) * 8` bytes from it lie inside the mapping,
-        // which lives as long as `self` through the Arc. Little-endian
-        // targets only (the constructor falls back to heap decode
-        // elsewhere).
-        unsafe {
-            std::slice::from_raw_parts(
-                self.map.as_ptr().add(self.offsets_off) as *const u64,
-                self.n_nodes + 1,
-            )
-        }
-    }
-
-    pub(crate) fn targets(&self) -> &[u32] {
-        // SAFETY: as above; `targets_off` is 4-aligned with `n_directed`
-        // u32 words in bounds.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.map.as_ptr().add(self.targets_off) as *const u32,
-                self.n_directed,
-            )
-        }
-    }
-
-    pub(crate) fn weights(&self) -> &[f64] {
-        // SAFETY: as above; `weights_off` is 8-aligned with `n_directed`
-        // f64 words in bounds.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.map.as_ptr().add(self.weights_off) as *const f64,
-                self.n_directed,
-            )
-        }
-    }
-
-    /// Settles the deferred validation: CRC-32 over the whole `GRPH`
-    /// payload plus the adjacency symmetry check the eager decode paths
-    /// run, exactly once, with the verdict cached for every later call.
-    pub(crate) fn verify(&self) -> bool {
-        match self.verified.load(Ordering::Acquire) {
-            ADJ_OK => true,
-            ADJ_BAD => false,
-            _ => {
-                let payload =
-                    &self.map[self.payload_offset..self.payload_offset + self.payload_len];
-                let ok = crc32(payload) == self.crc
-                    && crate::serialize::validate_symmetry(
-                        self.offsets(),
-                        self.targets(),
-                        self.weights(),
-                    )
-                    .is_ok();
-                self.verified
-                    .store(if ok { ADJ_OK } else { ADJ_BAD }, Ordering::Release);
-                ok
-            }
-        }
-    }
-}
-
 /// Where the CSR adjacency arrays live: owned flat vectors (built, fitted,
 /// or heap-decoded graphs) or zero-copy views into a mapped artifact.
 #[derive(Debug, Clone)]
@@ -284,7 +190,17 @@ pub(crate) enum GraphAdjacency {
         targets: Vec<u32>,
         weights: Vec<f64>,
     },
-    Mapped(MappedAdjacency),
+    /// The same three arrays viewed in a mapped `GRPH` payload. Geometry
+    /// (bounds, alignment, monotone offsets, in-range targets) is validated
+    /// when the views are built, so memory safety never depends on the
+    /// deferred checks; the payload CRC and the symmetry audit settle on
+    /// first [`LevaGraph::verify_mapped`].
+    Mapped {
+        offsets: MappedArray<u64>,
+        targets: MappedArray<u32>,
+        weights: MappedArray<f64>,
+        chunk: MappedChunk,
+    },
 }
 
 impl GraphAdjacency {
@@ -313,21 +229,21 @@ impl GraphAdjacency {
     pub(crate) fn offsets(&self) -> &[u64] {
         match self {
             Self::Heap { offsets, .. } => offsets,
-            Self::Mapped(m) => m.offsets(),
+            Self::Mapped { offsets, .. } => offsets,
         }
     }
 
     pub(crate) fn targets(&self) -> &[u32] {
         match self {
             Self::Heap { targets, .. } => targets,
-            Self::Mapped(m) => m.targets(),
+            Self::Mapped { targets, .. } => targets,
         }
     }
 
     pub(crate) fn weights(&self) -> &[f64] {
         match self {
             Self::Heap { weights, .. } => weights,
-            Self::Mapped(m) => m.weights(),
+            Self::Mapped { weights, .. } => weights,
         }
     }
 }
@@ -514,14 +430,14 @@ impl LevaGraph {
                 targets,
                 weights,
             } => offsets.len() * 8 + targets.len() * 4 + weights.len() * 8,
-            GraphAdjacency::Mapped(_) => 0,
+            GraphAdjacency::Mapped { .. } => 0,
         }
     }
 
     /// True when the adjacency is served zero-copy from an artifact
     /// mapping.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.adj, GraphAdjacency::Mapped(_))
+        matches!(self.adj, GraphAdjacency::Mapped { .. })
     }
 
     /// Process-resident bytes of the graph: the adjacency backing (zero
@@ -539,7 +455,7 @@ impl LevaGraph {
     pub fn mapped_bytes(&self) -> usize {
         match &self.adj {
             GraphAdjacency::Heap { .. } => 0,
-            GraphAdjacency::Mapped(m) => m.payload_len,
+            GraphAdjacency::Mapped { chunk, .. } => chunk.len(),
         }
     }
 
@@ -549,7 +465,14 @@ impl LevaGraph {
     pub fn verify_mapped(&self) -> bool {
         match &self.adj {
             GraphAdjacency::Heap { .. } => true,
-            GraphAdjacency::Mapped(m) => m.verify(),
+            GraphAdjacency::Mapped { chunk, .. } => chunk.verify(|| {
+                crate::serialize::validate_symmetry(
+                    self.adj.offsets(),
+                    self.adj.targets(),
+                    self.adj.weights(),
+                )
+                .is_ok()
+            }),
         }
     }
 }

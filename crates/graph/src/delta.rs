@@ -70,20 +70,18 @@ impl LevaGraph {
     /// `false` (leaving the graph untouched) when the mapped payload fails
     /// it. Heap-backed graphs return `true` immediately.
     pub fn ensure_heap(&mut self) -> bool {
-        match &self.adj {
-            GraphAdjacency::Heap { .. } => true,
-            GraphAdjacency::Mapped(m) => {
-                if !m.verify() {
-                    return false;
-                }
-                self.adj = GraphAdjacency::Heap {
-                    offsets: m.offsets().to_vec(),
-                    targets: m.targets().to_vec(),
-                    weights: m.weights().to_vec(),
-                };
-                true
-            }
+        if !self.is_mapped() {
+            return true;
         }
+        if !self.verify_mapped() {
+            return false;
+        }
+        self.adj = GraphAdjacency::Heap {
+            offsets: self.adj.offsets().to_vec(),
+            targets: self.adj.targets().to_vec(),
+            weights: self.adj.weights().to_vec(),
+        };
+        true
     }
 
     /// Patches the graph for rows appended to `table` of `tokenized`.

@@ -15,12 +15,9 @@
 //! decode copies the CSR arrays out of the validated layout; the mapped
 //! view keeps their offsets.
 
-use crate::builder::{
-    GraphAdjacency, LevaGraph, MappedAdjacency, NodeKind, RefineStats, ADJ_UNCHECKED, NO_VALUE_NODE,
-};
+use crate::builder::{GraphAdjacency, LevaGraph, NodeKind, RefineStats, NO_VALUE_NODE};
 use leva_interner::codec::{ByteReader, ByteWriter, DecodeError};
-use leva_interner::{MmapFile, TokenId, TokenInterner};
-use std::sync::atomic::AtomicU8;
+use leva_interner::{MappedChunk, TokenId, TokenInterner};
 use std::sync::Arc;
 
 /// Validates that the CSR adjacency encodes an *undirected* graph: every
@@ -343,48 +340,25 @@ impl LevaGraph {
     }
 
     /// Constructs a graph whose CSR adjacency is served zero-copy from the
-    /// mapped `GRPH` payload at `[payload_offset, payload_offset +
-    /// payload_len)` of `map`.
+    /// `GRPH` payload of a mapped `chunk`.
     ///
     /// The variable-length header (table names, node tokens, row offsets)
     /// is small and copied; the three flat adjacency arrays are viewed in
     /// place. The shared layout validation runs eagerly, so no later access
     /// can read outside the mapping; the payload CRC and the adjacency
     /// symmetry check settle lazily on [`LevaGraph::verify_mapped`],
-    /// keeping load O(header). Big-endian targets and heap-backed
-    /// "mappings" cannot view little-endian words in place and fall back
-    /// to the eager [`LevaGraph::decode_aligned`].
+    /// keeping load O(header).
     pub fn from_mapped(
         symbols: Arc<TokenInterner>,
-        map: Arc<MmapFile>,
-        payload_offset: usize,
-        payload_len: usize,
-        crc: u32,
+        chunk: MappedChunk,
     ) -> Result<LevaGraph, DecodeError> {
-        let end = payload_offset
-            .checked_add(payload_len)
-            .filter(|&e| e <= map.len())
-            .ok_or(DecodeError::LengthOverflow)?;
-        if !payload_offset.is_multiple_of(8) {
-            return Err(DecodeError::Invalid("GRPH payload not 8-aligned"));
-        }
-        let payload = &map[payload_offset..end];
-        if !cfg!(target_endian = "little") || !map.is_mapped() {
-            return Self::decode_aligned(payload, symbols);
-        }
-        let layout = GraphLayout::parse(payload, symbols.len())?;
-        let adj = GraphAdjacency::Mapped(MappedAdjacency {
-            offsets_off: payload_offset + layout.offsets_at,
-            targets_off: payload_offset + layout.targets_at,
-            weights_off: payload_offset + layout.weights_at,
-            n_nodes: layout.node_tokens.len(),
-            n_directed: layout.n_edges,
-            map,
-            payload_offset,
-            payload_len,
-            crc,
-            verified: Arc::new(AtomicU8::new(ADJ_UNCHECKED)),
-        });
+        let layout = GraphLayout::parse(chunk.payload(), symbols.len())?;
+        let adj = GraphAdjacency::Mapped {
+            offsets: chunk.array(layout.offsets_at, layout.node_tokens.len() + 1)?,
+            targets: chunk.array(layout.targets_at, layout.n_edges)?,
+            weights: chunk.array(layout.weights_at, layout.n_edges)?,
+            chunk,
+        };
         layout.into_graph(symbols, adj)
     }
 }

@@ -15,8 +15,10 @@
 //! deterministic and independent of worker-thread count.
 
 pub mod codec;
+pub mod mapped_chunk;
 pub mod mmapfile;
 
+pub use mapped_chunk::{MappedArray, MappedChunk};
 pub use mmapfile::MmapFile;
 
 use codec::{ByteReader, ByteWriter, DecodeError};

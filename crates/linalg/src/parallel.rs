@@ -1,11 +1,12 @@
-//! Deterministic row-band parallelism helpers.
+//! Deterministic parallelism helpers.
 //!
 //! Every parallel kernel in this crate shards work by *output rows*: each
 //! output row is computed by exactly one thread, running the identical
 //! sequential inner loop the single-threaded kernel runs. Because no
 //! floating-point accumulation ever crosses a thread boundary, results are
 //! bitwise identical at any thread count — `threads: 8` produces the same
-//! bytes as `threads: 1`.
+//! bytes as `threads: 1`. [`par_map_range`] applies the same rule to the
+//! pipeline's per-item maps (textification, discovery, walk generation).
 
 /// Resolves a `threads` knob to an actual worker count: `0` means "use all
 /// available parallelism", anything else is taken literally (minimum 1).
@@ -74,6 +75,40 @@ where
     });
 }
 
+/// Maps `f` over `0..n` and returns the results in index order.
+///
+/// The indices are split into contiguous chunks of `n / workers` (rounded
+/// up) over `workers = resolve_threads(threads).min(n)`, each chunk on its
+/// own scoped thread; with one worker the map runs inline on the caller's
+/// thread. Each result depends only on its index, so the output is
+/// identical at any thread count. A panic in `f` reaches the caller.
+pub fn par_map_range<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = resolve_threads(threads).min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let chunk = n.div_ceil(workers);
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| s.spawn(move || (lo..(lo + chunk).min(n)).map(f).collect::<Vec<T>>()))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        for h in handles {
+            let chunk = h
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            out.extend(chunk);
+        }
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +170,43 @@ mod tests {
         assert_eq!(band_workers(2 * MIN_BAND_LEN, 4, 2), 2);
         assert_eq!(ids(64 * MIN_BAND_LEN, 8).len(), 8);
         assert_eq!(band_workers(64 * MIN_BAND_LEN, 4, 8), 8);
+    }
+
+    #[test]
+    fn par_map_matches_the_sequential_map_in_order() {
+        for n in [0, 1, 2, 7, 1000] {
+            let want: Vec<usize> = (0..n).map(|i| i * i + 3).collect();
+            for threads in [0, 1, 2, 3, 8, 64] {
+                assert_eq!(
+                    par_map_range(n, threads, |i| i * i + 3),
+                    want,
+                    "n={n} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_splits_over_threads() {
+        for (n, threads) in [(2, 2), (7, 3), (1000, 8)] {
+            let ids = par_map_range(n, threads, |_| std::thread::current().id());
+            let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
+            assert!(
+                distinct.len() > 1,
+                "n={n} threads={threads} ran on one thread"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index 5 failed")]
+    fn par_map_worker_panic_reaches_the_caller() {
+        par_map_range(8, 2, |i| {
+            if i == 5 {
+                panic!("index 5 failed");
+            }
+            i
+        });
     }
 
     #[test]

@@ -12,7 +12,7 @@ use leva_linalg::Matrix;
 pub struct ElasticNet {
     /// Overall regularization strength α.
     pub alpha: f64,
-    /// L1 mixing ratio ρ ∈ [0,1] (1 = lasso, 0 = ridge).
+    /// L1 mixing ratio ρ ∈ \[0, 1\] (1 = lasso, 0 = ridge).
     pub l1_ratio: f64,
     /// Maximum coordinate-descent sweeps.
     pub max_iter: usize,

@@ -15,7 +15,7 @@ pub struct LogisticRegression {
     pub n_classes: usize,
     /// Regularization strength α.
     pub alpha: f64,
-    /// L1 mixing ratio ρ ∈ [0,1].
+    /// L1 mixing ratio ρ ∈ \[0, 1\].
     pub l1_ratio: f64,
     /// Training epochs.
     pub epochs: usize,

@@ -1,7 +1,7 @@
 //! Wire codecs for the two client protocols:
 //!
 //! * **JSON** — `POST /featurize` bodies and responses, built on the
-//!   crate's hand-rolled [`json`](crate::json) reader/writer.
+//!   crate's hand-rolled [`json`] reader/writer.
 //! * **Binary** — a compact length-prefixed framing for high-throughput
 //!   clients, built on the bounded `leva_interner::codec` reader/writer.
 //!   A binary session opens with the 4-byte magic [`BINARY_MAGIC`] and

@@ -21,7 +21,7 @@ use crate::binning::{Histogram, HistogramChoice};
 use crate::strings::try_split_list;
 use crate::types::{classify_column, ClassifyConfig, ColumnClass};
 use leva_interner::{TokenId, TokenInterner};
-use leva_linalg::resolve_threads;
+use leva_linalg::par_map_range;
 use leva_relational::{
     column_stats, excess_kurtosis, mean, std_dev, Database, RelationalError, Table, Value,
 };
@@ -439,30 +439,9 @@ fn tokenize_tables(
     threads: usize,
 ) -> Vec<RawTable> {
     let tables = db.tables();
-    let n = tables.len();
-    let workers = resolve_threads(threads).min(n.max(1));
-    if workers <= 1 {
-        return tables.iter().map(|t| tokenize_table(t, encoders)).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let chunks: Option<Vec<Vec<RawTable>>> = crossbeam::scope(|s| {
-        let handles: Vec<_> = tables
-            .chunks(chunk)
-            .map(|band| {
-                s.spawn(move |_| band.iter().map(|t| tokenize_table(t, encoders)).collect())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().ok()).collect()
+    par_map_range(tables.len(), threads, |i| {
+        tokenize_table(&tables[i], encoders)
     })
-    .ok()
-    .flatten();
-    match chunks {
-        Some(chunks) => chunks.into_iter().flatten().collect(),
-        // A worker died mid-emission (should be unreachable now that
-        // encoding is panic-free); redo the pass sequentially so the caller
-        // still gets a complete, deterministic result.
-        None => tables.iter().map(|t| tokenize_table(t, encoders)).collect(),
-    }
 }
 
 /// Emits the token stream of one table (the per-table unit of parallel work).

@@ -25,4 +25,7 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings, including broken intra-doc links, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "All checks passed."
