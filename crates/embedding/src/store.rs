@@ -174,7 +174,7 @@ impl EmbeddingStore {
     pub fn mapped_bytes(&self) -> usize {
         match &self.backing {
             EmbeddingBacking::Heap { .. } => 0,
-            EmbeddingBacking::Mapped { chunk, .. } => chunk.len(),
+            EmbeddingBacking::Mapped { chunk, .. } => chunk.payload().len(),
         }
     }
 

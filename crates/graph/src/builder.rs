@@ -455,7 +455,7 @@ impl LevaGraph {
     pub fn mapped_bytes(&self) -> usize {
         match &self.adj {
             GraphAdjacency::Heap { .. } => 0,
-            GraphAdjacency::Mapped { chunk, .. } => chunk.len(),
+            GraphAdjacency::Mapped { chunk, .. } => chunk.payload().len(),
         }
     }
 

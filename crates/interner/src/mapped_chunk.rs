@@ -76,16 +76,6 @@ impl MappedChunk {
         &self.map[self.offset..self.offset + self.len]
     }
 
-    /// Payload length in bytes — what the chunk serves from the mapping.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for an empty payload.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// A typed view of `count` words starting `at` bytes into the payload.
     /// A view that runs past the payload end, or whose start is not aligned
     /// for `T`, is a typed error.

@@ -80,7 +80,7 @@ where
 /// The indices are split into contiguous chunks of `n / workers` (rounded
 /// up) over `workers = resolve_threads(threads).min(n)`, each chunk on its
 /// own scoped thread; with one worker the map runs inline on the caller's
-/// thread. Each result depends only on its index, so the output is
+/// thread. Where `f`'s result depends only on its index, the output is
 /// identical at any thread count. A panic in `f` reaches the caller.
 pub fn par_map_range<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
@@ -100,10 +100,10 @@ where
             .collect();
         let mut out = Vec::with_capacity(n);
         for h in handles {
-            let chunk = h
+            let part = h
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            out.extend(chunk);
+            out.extend(part);
         }
         out
     })
