@@ -24,7 +24,7 @@ const BAD: u8 = 2;
 
 /// A payload range of an artifact mapping plus its declared CRC-32 and a
 /// lazily settled verdict. Cloning shares the mapping and the verdict, so
-/// the payload is hashed at most once per process.
+/// no clone hashes a payload that has already been settled.
 #[derive(Debug, Clone)]
 pub struct MappedChunk {
     map: Arc<MmapFile>,
