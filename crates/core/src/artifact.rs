@@ -50,7 +50,7 @@ use crate::memory::MemoryEstimate;
 use crate::pipeline::{LevaModel, MethodUsed};
 use crate::timing::StageTimings;
 use leva_discovery::{DiscoveredRelationship, DiscoveryConfig};
-use leva_embedding::{EmbeddingStore, Precision};
+use leva_embedding::EmbeddingStore;
 use leva_graph::{LevaGraph, RelationshipInjection};
 use leva_interner::codec::{crc32, ByteReader, ByteWriter, Crc32, DecodeError};
 use leva_interner::{MappedChunk, MmapFile, TokenInterner};
@@ -675,13 +675,15 @@ fn encode_config(c: &LevaConfig, w: &mut ByteWriter) {
     w.put_u64(c.discovery.min_distinct as u64);
     w.put_u64(c.discovery.signature_size as u64);
     w.put_u64(c.discovery.threads as u64);
-    w.put_u8(c.precision.as_u8());
+    // The retired precision setting's byte, kept so artifact bytes do not
+    // change: always 0 (f64, the only precision).
+    w.put_u8(0);
 }
 
 fn decode_config(r: &mut ByteReader<'_>) -> Result<LevaConfig, DecodeError> {
     // Struct-literal fields evaluate in source order, which keeps these
     // reads aligned with `encode_config`'s writes.
-    let mut cfg = LevaConfig {
+    let cfg = LevaConfig {
         dim: r.take_usize()?,
         textify: leva_textify::TextifyConfig {
             bin_count: r.take_usize()?,
@@ -742,9 +744,6 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<LevaConfig, DecodeError> {
             min_lr: r.take_f64()?,
             seed: r.take_u64()?,
             threads: r.take_usize()?,
-            // Derived from the pipeline precision (decoded below), not
-            // separately encoded.
-            precision: Precision::F64,
         },
         featurization: match r.take_u8()? {
             0 => Featurization::RowOnly,
@@ -767,11 +766,14 @@ fn decode_config(r: &mut ByteReader<'_>) -> Result<LevaConfig, DecodeError> {
             signature_size: r.take_usize()?,
             threads: r.take_usize()?,
         },
-        precision: Precision::from_u8(r.take_u8()?)
-            .ok_or(DecodeError::Invalid("unknown precision tag"))?,
     };
-    cfg.sgns.precision = cfg.precision;
-    Ok(cfg)
+    // The precision byte. Older writers also emitted 1 (f32) and 2 (int8);
+    // those never changed a stored byte (`STOR` was always f64), so every
+    // known tag loads as the exact f64 model.
+    match r.take_u8()? {
+        0..=2 => Ok(cfg),
+        _ => Err(DecodeError::Invalid("unknown precision tag")),
+    }
 }
 
 // --- DISC chunk ---------------------------------------------------------
@@ -1335,19 +1337,33 @@ mod tests {
         ));
     }
 
+    /// `CONF`'s last byte is the precision tag of older writers: 0 (f64),
+    /// 1 (f32) or 2 (int8). None of them changed a stored byte, so each
+    /// loads as the exact model; any other tag is a typed error.
     #[test]
-    fn precision_round_trips_in_conf() {
-        for p in [Precision::F32, Precision::Int8] {
-            let cfg = LevaConfig::default().with_precision(p);
-            let mut w = ByteWriter::new();
-            encode_config(&cfg, &mut w);
-            let bytes = w.into_bytes();
-            let mut r = ByteReader::new(&bytes);
-            let back = decode_config(&mut r).unwrap();
-            assert!(r.is_exhausted());
-            assert_eq!(back.precision, p);
-            assert_eq!(back.sgns.precision, p, "SGNS precision derives from CONF");
+    fn legacy_precision_tags_load_as_the_exact_model() {
+        let model = fit();
+        assert_eq!(model.method_used, MethodUsed::MatrixFactorization);
+        let base = model.to_bytes();
+        let (_, start, len) = find_chunk(&base, TAG_CONF).expect("CONF chunk present");
+        assert_eq!(base[start + len - 1], 0, "the writer emits tag 0");
+        let with_tag = |tag: u8| {
+            let mut bytes = base.clone();
+            bytes[start + len - 1] = tag;
+            patch_crc(&mut bytes, TAG_CONF);
+            LevaModel::from_bytes(&bytes)
+        };
+        let exact = with_tag(0).unwrap();
+        for tag in [0, 1, 2] {
+            assert_bitwise_equal_features(&with_tag(tag).unwrap(), &exact);
         }
+        assert!(matches!(
+            with_tag(3).unwrap_err(),
+            ArtifactError::Decode {
+                chunk: "CONF",
+                source: DecodeError::Invalid("unknown precision tag"),
+            }
+        ));
     }
 
     #[test]
@@ -1364,7 +1380,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, -0.25, 1.5] {
             let mut bytes = base.clone();
             bytes[pos..pos + 8].copy_from_slice(&bad.to_le_bytes());
-            patch_disc_crc(&mut bytes);
+            patch_crc(&mut bytes, TAG_DISC);
             let err = LevaModel::from_bytes(&bytes).unwrap_err();
             assert!(
                 matches!(err, ArtifactError::Decode { chunk: "DISC", .. }),
@@ -1389,7 +1405,7 @@ mod tests {
         for b in &mut payload[pos..pos + from_table.len()] {
             *b = b'z';
         }
-        patch_disc_crc(&mut bytes);
+        patch_crc(&mut bytes, TAG_DISC);
         assert!(matches!(
             LevaModel::from_bytes(&bytes).unwrap_err(),
             ArtifactError::Inconsistent { .. }
@@ -1415,9 +1431,9 @@ mod tests {
         None
     }
 
-    /// Recomputes the DISC chunk's CRC after a test mutated its payload.
-    fn patch_disc_crc(bytes: &mut [u8]) {
-        let (crc_off, start, len) = find_chunk(bytes, TAG_DISC).expect("DISC chunk present");
+    /// Recomputes chunk `tag`'s CRC after a test mutated its payload.
+    fn patch_crc(bytes: &mut [u8], tag: [u8; 4]) {
+        let (crc_off, start, len) = find_chunk(bytes, tag).expect("chunk present");
         let crc = crc32(&bytes[start..start + len]);
         bytes[crc_off..crc_off + 4].copy_from_slice(&crc.to_le_bytes());
     }

@@ -14,7 +14,8 @@
 //! 4. **Retrofit** embeddings for affected nodes only
 //!    ([`leva_embedding::retrofit_embeddings`], RETRO-style: stay near the
 //!    old vector, move toward patched neighbors).
-//! 5. **Invalidate/patch** exactly the touched [`Featurizer`] cache slots.
+//! 5. **Patch** exactly the touched [`Featurizer`](crate::Featurizer) cache
+//!    slots.
 //!
 //! The patched model is the whole post-append state: saving it writes a
 //! plain artifact (DESIGN.md §6.10) that loads, heap or mapped, into the
@@ -33,9 +34,7 @@ use std::sync::Arc;
 use leva_embedding::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
 use leva_relational::{CellIssue, IngestMode, IngestOptions, IngestReport, IssueReason, Value};
 
-use crate::featurizer::Featurizer;
 use crate::pipeline::{LevaError, LevaModel};
-use leva_embedding::Precision;
 
 /// What one [`LevaModel::append_rows`] call did.
 #[derive(Debug, Clone)]
@@ -53,7 +52,7 @@ pub struct AppendReport {
     /// What the embedding retrofit did.
     pub retrofit: RetrofitReport,
     /// `Featurizer` cache slots recomputed (0 when the cache was not built
-    /// yet, or was dropped for a reduced-precision rebuild).
+    /// yet).
     pub featurizer_slots_patched: usize,
     /// Ingest-normalization audit of the appended rows (also pushed onto
     /// [`LevaModel::ingest`]).
@@ -152,18 +151,12 @@ impl LevaModel {
         // 4. Featurizer staleness: the cache slots that could differ are
         //    the changed values, plus every value adjacent to a row whose
         //    edges or neighbor embeddings changed (two-hop reads those
-        //    rows' sums). Patch them in place when a full-precision cache
-        //    exists; reduced-precision caches are dropped and lazily
-        //    rebuilt (their build reads a quantized snapshot the patch
-        //    path does not model).
-        if let Some(mut featurizer) = take_featurizer(self) {
-            if self.config.precision == Precision::F64 {
-                let changed = changed_value_slots(self, &patch.new_rows, &affected);
-                featurizer.patch(&self.graph, &self.store, &changed);
-                report.featurizer_slots_patched = changed.len();
-                let _ = self.featurizer.set(featurizer);
-            }
-            // else: dropped — rebuilt on the next featurize call.
+        //    rows' sums). A built cache is patched in place.
+        if let Some(mut featurizer) = self.featurizer.take() {
+            let changed = changed_value_slots(self, &patch.new_rows, &affected);
+            featurizer.patch(&self.graph, &self.store, &changed);
+            report.featurizer_slots_patched = changed.len();
+            let _ = self.featurizer.set(featurizer);
         }
 
         self.ingest.push(report.ingest.clone());
@@ -257,13 +250,6 @@ impl LevaModel {
         self.store.materialize();
         Ok(())
     }
-}
-
-/// Takes the lazily-built featurizer out of its `OnceLock`, leaving the
-/// lock empty (the staleness-audit contract: a mutated model never serves
-/// from a cache built against its old state).
-fn take_featurizer(model: &mut LevaModel) -> Option<Featurizer> {
-    model.featurizer.take()
 }
 
 /// Value nodes whose featurizer cache slots could have changed: every

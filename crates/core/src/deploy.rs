@@ -49,17 +49,11 @@ impl LevaModel {
     /// cached for the model's lifetime. The caches snapshot the current
     /// graph + store; every supported mutation path keeps them coherent —
     /// [`LevaModel::append_rows`] patches exactly the touched slots, and
-    /// mutations the patch cannot model drop the cache for a lazy rebuild.
+    /// [`LevaModel::with_replacement_store`] starts with an empty cache.
     /// Mutating the public fields directly is unsupported.
     pub fn featurizer(&self) -> &Featurizer {
-        self.featurizer.get_or_init(|| {
-            Featurizer::build_with_precision(
-                &self.graph,
-                &self.store,
-                self.config.threads,
-                self.config.precision,
-            )
-        })
+        self.featurizer
+            .get_or_init(|| Featurizer::build(&self.graph, &self.store, self.config.threads))
     }
 
     /// Carries `source`'s warm featurizer cache into this model's empty
@@ -68,12 +62,9 @@ impl LevaModel {
     /// caller clones a model (which deliberately drops the cache) and
     /// warms the clone from its origin before mutating it, so a
     /// subsequent [`LevaModel::append_rows`] patches slots instead of
-    /// rebuilding. No-ops when `source` has no built cache, when this
-    /// model already has one, or when the precisions disagree.
+    /// rebuilding. No-ops when `source` has no built cache or when this
+    /// model already has one.
     pub fn warm_featurizer_from(&mut self, source: &LevaModel) {
-        if self.config.precision != source.config.precision {
-            return;
-        }
         if let Some(cache) = source.featurizer.get() {
             if self.featurizer.get().is_none() {
                 let _ = self.featurizer.set(cache.clone());

@@ -54,15 +54,12 @@
 //! bitwise identical at any thread count. Cached and naive paths agree to
 //! ~1e-15 per element (float reassociation only), which tests pin at 1e-12.
 //!
-//! **Precision ladder** (DESIGN.md §6.14): at reduced
-//! [`Precision`](leva_embedding::Precision) the build reads embeddings
-//! through a [`QuantizedStore`](leva_embedding::QuantizedStore) snapshot
-//! instead of the f64 store — the caches themselves stay f64, so serving
-//! arithmetic is unchanged and only the embedded coordinates carry the
-//! documented per-element quantization error.
+//! The build copies each value node's embedding straight from the store's
+//! dense f64 view, and every cache is f64: a cached row carries the same
+//! coordinates the naive walk reads.
 
 use crate::config::Featurization;
-use leva_embedding::{EmbeddingStore, Precision, QuantizedStore};
+use leva_embedding::EmbeddingStore;
 use leva_graph::LevaGraph;
 use leva_linalg::for_each_row_band;
 use std::time::{Duration, Instant};
@@ -92,23 +89,10 @@ pub struct Featurizer {
 }
 
 impl Featurizer {
-    /// Precomputes the deployment caches for `graph` + `store` in `O(E·d)`
-    /// at full f64 precision, sharding the dense passes over `threads` row
-    /// bands (bitwise identical at any thread count).
+    /// Precomputes the deployment caches for `graph` + `store` in `O(E·d)`,
+    /// sharding the dense passes over `threads` row bands (bitwise
+    /// identical at any thread count).
     pub fn build(graph: &LevaGraph, store: &EmbeddingStore, threads: usize) -> Featurizer {
-        Self::build_with_precision(graph, store, threads, Precision::F64)
-    }
-
-    /// Like [`Featurizer::build`], but at reduced `precision` the embedding
-    /// coordinates are read through a [`QuantizedStore`] snapshot (f32 or
-    /// int8), bounding cache memory traffic during the build; the caches
-    /// themselves stay f64.
-    pub fn build_with_precision(
-        graph: &LevaGraph,
-        store: &EmbeddingStore,
-        threads: usize,
-        precision: Precision,
-    ) -> Featurizer {
         let start = Instant::now();
         let dim = store.dim();
         let n_rows = graph.n_row_nodes();
@@ -117,29 +101,16 @@ impl Featurizer {
         // Borrowed dense view: one lookup per graph node below, no store
         // indirection inside the banded loops.
         let view = store.dense_view();
-        let quantized = match precision {
-            Precision::F64 => None,
-            reduced => Some(QuantizedStore::quantize(store, reduced)),
-        };
 
-        // Pass 1: per-value-node degrees and raw (or dequantized) embeddings.
+        // Pass 1: per-value-node degrees and raw embeddings.
         let mut degree = vec![0.0; n_values];
         let mut val_weight = vec![0.0; n_values];
         let mut val_contrib = vec![0.0; n_values * dim];
         for_each_row_band(&mut val_contrib, dim.max(1), threads, |slots, band| {
             for (offset, vi) in slots.enumerate() {
                 let node = first_value_node + vi as u32;
-                let token = graph.token(node);
-                let out = &mut band[offset * dim..(offset + 1) * dim];
-                match &quantized {
-                    Some(q) => {
-                        q.dequantize_into(token, out);
-                    }
-                    None => {
-                        if let Some(emb) = view.get(token) {
-                            out.copy_from_slice(emb);
-                        }
-                    }
+                if let Some(emb) = view.get(graph.token(node)) {
+                    band[offset * dim..(offset + 1) * dim].copy_from_slice(emb);
                 }
             }
         });
@@ -248,9 +219,7 @@ impl Featurizer {
     /// changed (the two-hop caches read those rows' sums). The recompute
     /// follows the exact accumulation order of [`Featurizer::build`], so a
     /// patched cache matches a freshly built one on every slot (pinned at
-    /// ≤1e-12 by the regression tests; only f64 coordinates are supported —
-    /// reduced-precision featurizers are rebuilt instead, see
-    /// `LevaModel::append_rows`).
+    /// ≤1e-12 by the regression tests).
     pub fn patch(&mut self, graph: &LevaGraph, store: &EmbeddingStore, changed_values: &[u32]) {
         let start = Instant::now();
         let dim = self.dim;

@@ -75,7 +75,6 @@ pub use er::{match_embeddings, resolve_entities, score_matches, ErOptions, ErRes
 pub use featurizer::Featurizer;
 pub use finetune::{droppable_tables, finetune_drop_tables};
 pub use leva_discovery::{discover_relationships, DiscoveredRelationship, DiscoveryConfig};
-pub use leva_embedding::{Precision, QuantizedStore};
 pub use leva_graph::RelationshipInjection;
 pub use leva_relational::{CellIssue, IngestMode, IngestOptions, IngestReport, IssueReason};
 pub use memory::{estimate, mf_fits, MemoryEstimate};

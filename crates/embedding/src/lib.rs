@@ -20,7 +20,6 @@
 mod corpus;
 mod mf;
 mod node2vec;
-mod quant;
 mod retrofit;
 mod sgns;
 mod store;
@@ -29,7 +28,6 @@ mod walks;
 pub use corpus::Corpus;
 pub use mf::{build_mf_embedding, proximity_matrix, MfConfig};
 pub use node2vec::{node2vec_walks, Node2VecConfig};
-pub use quant::{Precision, QuantizedStore};
 pub use retrofit::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
 pub use sgns::{train_sgns, SgnsConfig, SgnsModel};
 pub use store::{DenseView, EmbeddingBacking, EmbeddingStore, UnknownTokenError};

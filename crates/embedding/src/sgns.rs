@@ -37,11 +37,11 @@
 //! pair the input row changes only at the end, and each distinct output row
 //! is written only by its own target, so every dot sees the values it would
 //! see target by target; each side-by-side dot keeps the reduction order of
-//! `T::dot` (serial from `-0.0` for f64, four lanes for f32). The fused sweep
-//! applies to every coordinate the same f64 operations in the same order as
-//! one loop per target would, and Rust neither contracts to FMA nor
-//! reassociates. The tests keep that per-target trainer as an oracle and
-//! compare parameters bit for bit at f64 and f32.
+//! `leva_linalg::dot` (serial from `-0.0`). The fused sweep applies to every
+//! coordinate the same f64 operations in the same order as one loop per
+//! target would, and Rust neither contracts to FMA nor reassociates. The
+//! tests keep that per-target trainer as an oracle and compare parameters
+//! bit for bit.
 //!
 //! # Fallback
 //!
@@ -51,9 +51,9 @@
 //! and adds the buffer to the input row at the end, like the oracle.
 
 use crate::corpus::Corpus;
-use crate::quant::Precision;
 use crate::store::EmbeddingStore;
 use leva_graph::AliasTable;
+use leva_linalg::dot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -78,12 +78,6 @@ pub struct SgnsConfig {
     pub seed: u64,
     /// Worker threads (1 = deterministic).
     pub threads: usize,
-    /// Parameter-storage precision (DESIGN.md §6.14 precision ladder):
-    /// `F64` is the exact reference; `F32`/`Int8` store the two parameter
-    /// matrices as f32 (halving training memory) while keeping gradient
-    /// arithmetic in f64. Int8 has no training rung of its own — it is a
-    /// serving-side quantization, so training runs at f32.
-    pub precision: Precision,
 }
 
 impl Default for SgnsConfig {
@@ -97,85 +91,7 @@ impl Default for SgnsConfig {
             min_lr: 1e-4,
             seed: 0x5643,
             threads: 1,
-            precision: Precision::F64,
         }
-    }
-}
-
-/// Parameter-storage scalar: f64 (exact) or f32 (compact). Arithmetic is
-/// f64 either way — the ladder trades storage, not math — and the dot
-/// product routes through the precision-matched SIMD-friendly kernel.
-trait ParamScalar: Copy + Default + Send + Sync + 'static {
-    fn from_f64(x: f64) -> Self;
-    fn to_f64(self) -> f64;
-    fn dot(a: &[Self], b: &[Self]) -> f64;
-    /// `N` dot products of `a` with `rows`, side by side in one pass; each
-    /// keeps the reduction order of [`ParamScalar::dot`], so each equals
-    /// `dot(a, rows[k])` bit for bit.
-    fn dots<const N: usize>(a: &[Self], rows: [&[Self]; N]) -> [f64; N];
-    /// The flat matrix widened to f64.
-    fn into_f64s(flat: Vec<Self>) -> Vec<f64>;
-}
-
-impl ParamScalar for f64 {
-    fn from_f64(x: f64) -> Self {
-        x
-    }
-    fn to_f64(self) -> f64 {
-        self
-    }
-    fn dot(a: &[Self], b: &[Self]) -> f64 {
-        leva_linalg::dot(a, b)
-    }
-    /// `leva_linalg::dot` sums serially from `-0.0` (`Iterator::sum`).
-    fn dots<const N: usize>(a: &[Self], rows: [&[Self]; N]) -> [f64; N] {
-        let rows = rows.map(|r| &r[..a.len()]);
-        let mut acc = [-0.0f64; N];
-        for (i, &x) in a.iter().enumerate() {
-            for (s, r) in acc.iter_mut().zip(&rows) {
-                *s += x * r[i];
-            }
-        }
-        acc
-    }
-    fn into_f64s(flat: Vec<Self>) -> Vec<f64> {
-        flat
-    }
-}
-
-impl ParamScalar for f32 {
-    fn from_f64(x: f64) -> Self {
-        x as f32
-    }
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-    fn dot(a: &[Self], b: &[Self]) -> f64 {
-        leva_linalg::dot_f32(a, b)
-    }
-    /// `leva_linalg::dot_f32` accumulates four lanes over whole chunks of
-    /// four, sums the lanes left to right, then adds the tail serially.
-    fn dots<const N: usize>(a: &[Self], rows: [&[Self]; N]) -> [f64; N] {
-        let rows = rows.map(|r| &r[..a.len()]);
-        let whole = a.len() - a.len() % 4;
-        let mut lanes = [[0.0f64; 4]; N];
-        for c in (0..whole).step_by(4) {
-            for (l, r) in lanes.iter_mut().zip(&rows) {
-                for j in 0..4 {
-                    l[j] += f64::from(a[c + j]) * f64::from(r[c + j]);
-                }
-            }
-        }
-        let mut acc = lanes.map(|l| l[0] + l[1] + l[2] + l[3]);
-        for i in whole..a.len() {
-            for (s, r) in acc.iter_mut().zip(&rows) {
-                *s += f64::from(a[i]) * f64::from(r[i]);
-            }
-        }
-        acc
-    }
-    fn into_f64s(flat: Vec<Self>) -> Vec<f64> {
-        flat.into_iter().map(f64::from).collect()
     }
 }
 
@@ -230,17 +146,8 @@ impl SgnsModel {
     }
 }
 
-/// Trains SGNS over a corpus. `cfg.precision` selects f64 or f32 parameter
-/// storage (see [`SgnsConfig::precision`]); results are deterministic for a
-/// fixed precision at `threads: 1`.
+/// Trains SGNS over a corpus; results are deterministic at `threads: 1`.
 pub fn train_sgns(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsModel {
-    match cfg.precision {
-        Precision::F64 => train_sgns_typed::<f64>(corpus, cfg),
-        Precision::F32 | Precision::Int8 => train_sgns_typed::<f32>(corpus, cfg),
-    }
-}
-
-fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsModel {
     let vocab = corpus.vocab_size();
     let dim = cfg.dim;
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -251,11 +158,11 @@ fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsMo
     let neg_table = AliasTable::new(&weights);
 
     // Init: input uniform in [-0.5/dim, 0.5/dim], output zeros.
-    let mut input = vec![T::default(); vocab * dim];
+    let mut input = vec![0.0; vocab * dim];
     for v in &mut input {
-        *v = T::from_f64((rng.gen::<f64>() - 0.5) / dim as f64);
+        *v = (rng.gen::<f64>() - 0.5) / dim as f64;
     }
-    let output = vec![T::default(); vocab * dim];
+    let output = vec![0.0; vocab * dim];
 
     let total_positions = (corpus.total_tokens() * cfg.epochs).max(1);
     let shared = SharedParams { input, output, dim };
@@ -307,28 +214,24 @@ fn train_sgns_typed<T: ParamScalar>(corpus: &Corpus, cfg: &SgnsConfig) -> SgnsMo
     }
 
     let SharedParams { input, output, dim } = shared;
-    SgnsModel {
-        dim,
-        input: T::into_f64s(input),
-        output: T::into_f64s(output),
-    }
+    SgnsModel { dim, input, output }
 }
 
 /// Shared parameter arrays. With `threads > 1` these are mutated through
 /// raw pointers Hogwild-style; the data races are deliberate and benign for
 /// SGD on disjoint-ish rows (see Recht et al., NIPS'11).
-struct SharedParams<T> {
-    input: Vec<T>,
-    output: Vec<T>,
+struct SharedParams {
+    input: Vec<f64>,
+    output: Vec<f64>,
     dim: usize,
 }
 
-unsafe impl<T: ParamScalar> Sync for SharedParams<T> {}
+unsafe impl Sync for SharedParams {}
 
-impl<T: ParamScalar> SharedParams<T> {
+impl SharedParams {
     /// Pointer to row `id` of a parameter matrix.
-    fn row_ptr(vec: &[T], id: u32, dim: usize) -> *mut T {
-        vec[id as usize * dim..][..dim].as_ptr() as *mut T
+    fn row_ptr(vec: &[f64], id: u32, dim: usize) -> *mut f64 {
+        vec[id as usize * dim..][..dim].as_ptr() as *mut f64
     }
 
     /// Mutable view of row `id` of a parameter matrix.
@@ -339,13 +242,13 @@ impl<T: ParamScalar> SharedParams<T> {
     /// into the row. Other Hogwild workers may write it concurrently; those
     /// races are the accepted cost of lock-free training.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn row_mut(vec: &[T], id: u32, dim: usize) -> &mut [T] {
+    unsafe fn row_mut(vec: &[f64], id: u32, dim: usize) -> &mut [f64] {
         std::slice::from_raw_parts_mut(Self::row_ptr(vec, id, dim), dim)
     }
 }
 
-struct Worker<'a, T> {
-    params: &'a SharedParams<T>,
+struct Worker<'a> {
+    params: &'a SharedParams,
     cfg: &'a SgnsConfig,
     neg_table: Option<&'a AliasTable>,
     rng: StdRng,
@@ -373,18 +276,18 @@ impl Window {
 
 /// Per-worker buffers of the training step, reused across pairs.
 #[derive(Default)]
-struct Scratch<T> {
+struct Scratch {
     /// The current pair's targets: the context, then the kept negatives.
     targets: Vec<u32>,
     /// Output-row pointers of the targets (fast path).
-    rows: Vec<*mut T>,
+    rows: Vec<*mut f64>,
     /// Per target: the dot product, then the gradient scale (fast path).
     scores: Vec<f64>,
     /// Input-row gradient (fallback only).
     grad: Vec<f64>,
 }
 
-impl<T: ParamScalar> Worker<'_, T> {
+impl Worker<'_> {
     fn run(&mut self, sequences: &[Vec<u32>]) {
         // Without a negative table no pair draws negatives.
         let negative = self.neg_table.map_or(0, |_| self.cfg.negative);
@@ -460,7 +363,7 @@ impl<T: ParamScalar> Worker<'_, T> {
 
     /// One positive pair plus its kept negatives, `s.targets` (context
     /// first).
-    fn train_pair(&self, center: u32, lr: f64, s: &mut Scratch<T>) {
+    fn train_pair(&self, center: u32, lr: f64, s: &mut Scratch) {
         let dim = self.params.dim;
         let output = &self.params.output;
         // SAFETY: Hogwild — concurrent unsynchronized updates are accepted.
@@ -482,14 +385,14 @@ impl<T: ParamScalar> Worker<'_, T> {
                 // not alias `w_in`, and it is dropped before the next
                 // target's row is taken.
                 let w_out = unsafe { SharedParams::row_mut(output, target, dim) };
-                let g = (label(k) - sigmoid(T::dot(w_in, w_out))) * lr;
+                let g = (label(k) - sigmoid(dot(w_in, w_out))) * lr;
                 for ((ga, &wi), wo) in s.grad.iter_mut().zip(w_in.iter()).zip(w_out.iter_mut()) {
-                    *ga += g * wo.to_f64();
-                    *wo = T::from_f64(wo.to_f64() + g * wi.to_f64());
+                    *ga += g * *wo;
+                    *wo += g * wi;
                 }
             }
             for (wi, &ga) in w_in.iter_mut().zip(&s.grad) {
-                *wi = T::from_f64(wi.to_f64() + ga);
+                *wi += ga;
             }
             return;
         }
@@ -523,17 +426,12 @@ impl<T: ParamScalar> Worker<'_, T> {
 /// Each of `rows` must point at `w_in.len()` writable scalars, the rows must
 /// be pairwise disjoint and disjoint from `w_in`, and this thread must hold
 /// no other reference into them.
-unsafe fn fused_update<T: ParamScalar>(w_in: &mut [T], rows: &[*mut T], gs: &[f64]) {
+unsafe fn fused_update(w_in: &mut [f64], rows: &[*mut f64], gs: &[f64]) {
     /// Updates coordinates `base..base + L`; `wi` holds those of the input
     /// row. Same contract as [`fused_update`].
     #[inline(always)]
-    unsafe fn block<T: ParamScalar, const L: usize>(
-        wi: &mut [T],
-        base: usize,
-        rows: &[*mut T],
-        gs: &[f64],
-    ) {
-        let x: [f64; L] = std::array::from_fn(|l| wi[l].to_f64());
+    unsafe fn block<const L: usize>(wi: &mut [f64], base: usize, rows: &[*mut f64], gs: &[f64]) {
+        let x: [f64; L] = std::array::from_fn(|l| wi[l]);
         let mut ga = [0.0f64; L];
         for (&row, &g) in rows.iter().zip(gs) {
             // SAFETY: by the contract each row holds at least `base + L`
@@ -541,13 +439,13 @@ unsafe fn fused_update<T: ParamScalar>(w_in: &mut [T], rows: &[*mut T], gs: &[f6
             // live reference to them.
             let wo = unsafe { std::slice::from_raw_parts_mut(row.add(base), L) };
             for l in 0..L {
-                let o = wo[l].to_f64();
+                let o = wo[l];
                 ga[l] += g * o;
-                wo[l] = T::from_f64(o + g * x[l]);
+                wo[l] = o + g * x[l];
             }
         }
         for l in 0..L {
-            wi[l] = T::from_f64(x[l] + ga[l]);
+            wi[l] = x[l] + ga[l];
         }
     }
     let whole = w_in.len() - w_in.len() % 4;
@@ -555,10 +453,10 @@ unsafe fn fused_update<T: ParamScalar>(w_in: &mut [T], rows: &[*mut T], gs: &[f6
     // SAFETY (both loops): the caller's contract, and every block ends
     // within `w_in.len()`.
     for (b, wi) in blocks.chunks_exact_mut(4).enumerate() {
-        unsafe { block::<T, 4>(wi, 4 * b, rows, gs) };
+        unsafe { block::<4>(wi, 4 * b, rows, gs) };
     }
     for (j, wi) in tail.chunks_exact_mut(1).enumerate() {
-        unsafe { block::<T, 1>(wi, whole + j, rows, gs) };
+        unsafe { block::<1>(wi, whole + j, rows, gs) };
     }
 }
 
@@ -571,43 +469,57 @@ fn label(k: usize) -> f64 {
     }
 }
 
-/// `out[k] = T::dot(a, rows[k])`, up to eight dot products at a time in one
+/// `out[k] = dot(a, rows[k])`, up to eight dot products at a time in one
 /// pass over `a`.
 ///
 /// # Safety
 ///
 /// Each of `rows` must point at `a.len()` scalars that nothing writes while
 /// this runs.
-unsafe fn side_by_side_dots<T: ParamScalar>(a: &[T], rows: &[*mut T], out: &mut [f64]) {
-    fn group<T: ParamScalar, const N: usize>(a: &[T], rows: &[*mut T], out: &mut [f64]) {
+unsafe fn side_by_side_dots(a: &[f64], rows: &[*mut f64], out: &mut [f64]) {
+    fn group<const N: usize>(a: &[f64], rows: &[*mut f64], out: &mut [f64]) {
         // SAFETY: the caller's contract covers every pointer.
         let rows = std::array::from_fn(|k| unsafe { std::slice::from_raw_parts(rows[k], a.len()) });
-        out.copy_from_slice(&T::dots::<N>(a, rows));
+        out.copy_from_slice(&dots::<N>(a, rows));
     }
     for (rows, out) in rows.chunks(8).zip(out.chunks_mut(8)) {
         match rows.len() {
-            1 => group::<T, 1>(a, rows, out),
-            2 => group::<T, 2>(a, rows, out),
-            3 => group::<T, 3>(a, rows, out),
-            4 => group::<T, 4>(a, rows, out),
-            5 => group::<T, 5>(a, rows, out),
-            6 => group::<T, 6>(a, rows, out),
-            7 => group::<T, 7>(a, rows, out),
-            _ => group::<T, 8>(a, rows, out),
+            1 => group::<1>(a, rows, out),
+            2 => group::<2>(a, rows, out),
+            3 => group::<3>(a, rows, out),
+            4 => group::<4>(a, rows, out),
+            5 => group::<5>(a, rows, out),
+            6 => group::<6>(a, rows, out),
+            7 => group::<7>(a, rows, out),
+            _ => group::<8>(a, rows, out),
         }
     }
 }
 
+/// `N` dot products of `a` with `rows`, side by side in one pass. Each sums
+/// serially from `-0.0` like `leva_linalg::dot` (`Iterator::sum`), so each
+/// equals `dot(a, rows[k])` bit for bit.
+fn dots<const N: usize>(a: &[f64], rows: [&[f64]; N]) -> [f64; N] {
+    let rows = rows.map(|r| &r[..a.len()]);
+    let mut acc = [-0.0f64; N];
+    for (i, &x) in a.iter().enumerate() {
+        for (s, r) in acc.iter_mut().zip(&rows) {
+            *s += x * r[i];
+        }
+    }
+    acc
+}
+
 /// Hints the cache to load the `dim` scalars at `row`; a no-op off x86-64.
 #[inline(always)]
-fn prefetch_row<T>(row: *const T, dim: usize) {
+fn prefetch_row(row: *const f64, dim: usize) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let start = row.cast::<i8>();
         let offset = start as usize % 64;
         let first_line = start.wrapping_sub(offset);
-        for line in (0..offset + dim * std::mem::size_of::<T>()).step_by(64) {
+        for line in (0..offset + dim * std::mem::size_of::<f64>()).step_by(64) {
             // SAFETY: a prefetch is only a hint and never faults.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(first_line.wrapping_add(line)) };
         }
@@ -829,44 +741,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn f32_storage_training_learns_and_tracks_f64() {
-        let corpus = clustered_corpus();
-        let base = SgnsConfig {
-            dim: 16,
-            epochs: 8,
-            window: 2,
-            ..Default::default()
-        };
-        let f32_cfg = SgnsConfig {
-            precision: Precision::F32,
-            ..base
-        };
-        let model = train_sgns(&corpus, &f32_cfg);
-        let sim_ab = cosine_similarity(model.input_row(0), model.input_row(1));
-        let sim_ax = cosine_similarity(model.input_row(0), model.input_row(2));
-        assert!(
-            sim_ab > sim_ax + 0.2,
-            "f32 storage must still learn: {sim_ab} vs {sim_ax}"
-        );
-        // Deterministic at threads: 1 like the f64 path.
-        let again = train_sgns(&corpus, &f32_cfg);
-        assert_eq!(model.input, again.input);
-        // Int8 requests train at the f32 rung (identical parameters).
-        let int8 = train_sgns(
-            &corpus,
-            &SgnsConfig {
-                precision: Precision::Int8,
-                ..base
-            },
-        );
-        assert_eq!(model.input, int8.input);
-    }
-
     /// The per-pair trainer the fast step replaced: each pair draws its
     /// negatives as it goes and trains one target at a time. Oracle for
     /// [`Worker::run`].
-    fn reference_run<T: ParamScalar>(worker: &mut Worker<'_, T>, sequences: &[Vec<u32>]) {
+    fn reference_run(worker: &mut Worker<'_>, sequences: &[Vec<u32>]) {
         let dim = worker.params.dim;
         let mut processed = worker.processed_base;
         let mut grad = vec![0.0f64; dim];
@@ -886,8 +764,8 @@ mod tests {
         }
     }
 
-    fn reference_pair<T: ParamScalar>(
-        worker: &mut Worker<'_, T>,
+    fn reference_pair(
+        worker: &mut Worker<'_>,
         center: u32,
         context: u32,
         lr: f64,
@@ -913,24 +791,24 @@ mod tests {
             };
             // SAFETY: see `w_in` above.
             let w_out = unsafe { SharedParams::row_mut(&worker.params.output, target, dim) };
-            let g = (label - sigmoid(T::dot(w_in, w_out))) * lr;
+            let g = (label - sigmoid(dot(w_in, w_out))) * lr;
             for ((ga, &wi), wo) in grad.iter_mut().zip(w_in.iter()).zip(w_out.iter_mut()) {
-                *ga += g * wo.to_f64();
-                *wo = T::from_f64(wo.to_f64() + g * wi.to_f64());
+                *ga += g * *wo;
+                *wo += g * wi;
             }
         }
         for (wi, &ga) in w_in.iter_mut().zip(grad.iter()) {
-            *wi = T::from_f64(wi.to_f64() + ga);
+            *wi += ga;
         }
     }
 
-    fn bits<T: ParamScalar>(v: &[T]) -> Vec<u64> {
-        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Trains one seeded random corpus over random (nonzero) parameters with
     /// the fast step and with the reference, and requires identical bits.
-    fn assert_matches_reference<T: ParamScalar>(
+    fn assert_matches_reference(
         vocab: usize,
         dim: usize,
         window: usize,
@@ -953,11 +831,7 @@ mod tests {
         // negatives; a tiny vocabulary forces the duplicate-row fallback.
         let weights: Vec<f64> = (0..vocab).map(|i| 1.0 / (i + 1) as f64).collect();
         let table = AliasTable::new(&weights).filter(|_| with_table);
-        let mut random = |n: usize| -> Vec<T> {
-            (0..n)
-                .map(|_| T::from_f64(rng.gen_range(-0.6..0.6)))
-                .collect()
-        };
+        let mut random = |n: usize| (0..n).map(|_| rng.gen_range(-0.6..0.6)).collect();
         let fast = SharedParams {
             input: random(vocab * dim),
             output: random(vocab * dim),
@@ -1004,66 +878,51 @@ mod tests {
         );
     }
 
-    fn assert_grid_matches_reference<T: ParamScalar>() {
+    fn assert_grid_matches_reference() {
         for dim in [1, 7, 32, 33] {
             for window in [1, 5] {
                 for negative in [0, 1, 5, 15] {
                     for vocab in [3, 40] {
-                        assert_matches_reference::<T>(vocab, dim, window, negative, true);
+                        assert_matches_reference(vocab, dim, window, negative, true);
                     }
                 }
-                assert_matches_reference::<T>(40, dim, window, 5, false);
+                assert_matches_reference(40, dim, window, 5, false);
             }
         }
     }
 
     #[test]
     fn fast_step_matches_reference_trainer_f64() {
-        assert_grid_matches_reference::<f64>();
+        assert_grid_matches_reference();
     }
 
-    #[test]
-    fn fast_step_matches_reference_trainer_f32() {
-        assert_grid_matches_reference::<f32>();
-    }
-
-    /// Each side-by-side dot equals `T::dot` bit for bit, for every group
-    /// size and for lengths around the four-lane boundaries.
+    /// Each side-by-side dot equals `dot` bit for bit, for every group
+    /// size and for lengths up to a few blocks of four.
     #[test]
     fn side_by_side_dots_match_dot() {
-        fn check<T: ParamScalar>() {
-            let mut rng = StdRng::seed_from_u64(3);
-            for len in [0, 1, 3, 4, 5, 8, 9, 33] {
-                for n in 1..=17 {
-                    let a: Vec<T> = (0..len)
-                        .map(|_| T::from_f64(rng.gen_range(-1.0..1.0)))
-                        .collect();
-                    let mut rows: Vec<Vec<T>> = (0..n)
-                        .map(|_| {
-                            (0..len)
-                                .map(|_| T::from_f64(rng.gen_range(-1.0..1.0)))
-                                .collect()
-                        })
-                        .collect();
-                    // An all -0.0 row against a positive `a` sums -0.0s.
-                    rows[0].iter_mut().for_each(|v| *v = T::from_f64(-0.0));
-                    let ptrs: Vec<*mut T> = rows.iter_mut().map(|r| r.as_mut_ptr()).collect();
-                    let mut out = vec![f64::NAN; n];
-                    // SAFETY: the pointers address the live rows, each of
-                    // `len` scalars, and nothing writes them meanwhile.
-                    unsafe { side_by_side_dots(&a, &ptrs, &mut out) };
-                    for (k, row) in rows.iter().enumerate() {
-                        assert_eq!(
-                            out[k].to_bits(),
-                            T::dot(&a, row).to_bits(),
-                            "len {len} n {n} k {k}"
-                        );
-                    }
+        let mut rng = StdRng::seed_from_u64(3);
+        for len in [0, 1, 3, 4, 5, 8, 9, 33] {
+            for n in 1..=17 {
+                let a: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect())
+                    .collect();
+                // An all -0.0 row against a positive `a` sums -0.0s.
+                rows[0].iter_mut().for_each(|v| *v = -0.0);
+                let ptrs: Vec<*mut f64> = rows.iter_mut().map(|r| r.as_mut_ptr()).collect();
+                let mut out = vec![f64::NAN; n];
+                // SAFETY: the pointers address the live rows, each of
+                // `len` scalars, and nothing writes them meanwhile.
+                unsafe { side_by_side_dots(&a, &ptrs, &mut out) };
+                for (k, row) in rows.iter().enumerate() {
+                    assert_eq!(
+                        out[k].to_bits(),
+                        dot(&a, row).to_bits(),
+                        "len {len} n {n} k {k}"
+                    );
                 }
             }
         }
-        check::<f64>();
-        check::<f32>();
     }
 
     #[test]

@@ -370,8 +370,7 @@ impl EmbeddingStore {
     }
 
     /// Iterates `(id, vector)` in token-id order — the hashing-free dual of
-    /// [`EmbeddingStore::iter`] used by bulk consumers (quantization, the
-    /// artifact codec).
+    /// [`EmbeddingStore::iter`].
     pub fn iter_ids(&self) -> impl Iterator<Item = (TokenId, &[f64])> {
         self.slots()
             .iter()

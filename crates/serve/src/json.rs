@@ -1,8 +1,8 @@
 //! Minimal hand-rolled JSON reader/writer (the workspace builds offline,
 //! without serde) behind the HTTP/JSON side of the wire protocol
-//! ([`crate::wire`]) and the admin endpoints. The parser accepts arbitrary
-//! well-formed JSON; the writer helpers emit exactly what the server's
-//! response formats need.
+//! ([`crate::wire`]) and the admin endpoints. The parser accepts any
+//! well-formed JSON nested at most [`MAX_DEPTH`] levels; the writer helpers
+//! emit exactly what the server's response formats need.
 
 /// A parsed JSON value.
 ///
@@ -131,12 +131,20 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document (trailing bytes are an error).
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a cap a body of nested `[` overflows a connection
+/// thread's stack and aborts the process. The deepest request body the
+/// server reads nests 5 levels.
+pub const MAX_DEPTH: usize = 32;
+
+/// Parses a complete JSON document (trailing bytes are an error, and so is
+/// nesting deeper than [`MAX_DEPTH`]).
 pub fn parse(s: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -151,6 +159,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -188,8 +198,21 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek().ok_or_else(|| self.err())? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                // Refused before the level is built, so no `Value` is ever
+                // deeper than the cap (dropping one recurses per level too).
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err());
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.literal("true").map(|_| Value::Bool(true)),
             b'f' => self.literal("false").map(|_| Value::Bool(false)),
@@ -337,6 +360,33 @@ mod tests {
         );
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_bool(), Some(false));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&arrays(MAX_DEPTH + 1)).unwrap_err(),
+            ParseError { offset: MAX_DEPTH }
+        );
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// 100,000 unclosed `[` on a thread with a connection thread's 2 MiB
+    /// stack: a typed error, not a stack overflow that aborts the process.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let body = "[".repeat(100_000);
+        let parsed = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&body).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(parsed);
     }
 
     #[test]

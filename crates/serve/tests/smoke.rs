@@ -345,6 +345,26 @@ fn conflicting_content_length_headers_are_rejected() {
     server.shutdown();
 }
 
+/// A body of 100,000 nested `[` once overflowed the connection thread's
+/// stack in the JSON parser and aborted the daemon. It is a 400 now, and
+/// the server keeps serving.
+#[test]
+fn deeply_nested_json_is_a_400_and_the_server_survives() {
+    let model = fit(&db(12, 1.0));
+    let config = ServeConfig::default().with_addr("127.0.0.1:0");
+    let engine = Engine::new(model, config).unwrap();
+    let mut server = Server::start(Arc::clone(&engine)).unwrap();
+    let addr = server.local_addr();
+
+    let (status, _) = http(addr, "POST", "/featurize", "[".repeat(100_000).as_bytes());
+    assert_eq!(status, 400);
+    let (status, _) = get_json(addr, "/healthz");
+    assert_eq!(status, 200);
+
+    engine.shutdown();
+    server.shutdown();
+}
+
 #[test]
 fn external_tables_round_trip_through_json() {
     let database = db(24, 1.0);

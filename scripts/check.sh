@@ -19,11 +19,13 @@ echo "==> bench_all (the repository benchmark builds and its own tests pass agai
 cargo build --release --manifest-path bench_all/Cargo.toml
 cargo test -q --manifest-path bench_all/Cargo.toml
 
-echo "==> cargo fmt --check"
+echo "==> cargo fmt --check (the workspace, then bench_all, which is not a workspace member)"
 cargo fmt --check
+cargo fmt --check --manifest-path bench_all/Cargo.toml
 
-echo "==> cargo clippy --workspace -- -D warnings"
+echo "==> cargo clippy -- -D warnings (the workspace, then bench_all)"
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --manifest-path bench_all/Cargo.toml --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings, including broken intra-doc links, are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
