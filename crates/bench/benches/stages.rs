@@ -1,8 +1,9 @@
 //! Microbenchmarks of the Leva pipeline stages: textification, graph
 //! construction, proximity-matrix build, Householder QR, randomized SVD,
 //! walk generation, SGNS training (also at the `fit_schemafree_rw` shape),
-//! deployment featurization, the artifact CRC-32 (both kernels) and the
-//! serve-side model stamp and clone.
+//! deployment featurization, the artifact CRC-32 (both kernels), the
+//! serve-side model stamp and clone, and ProNE propagation and the random
+//! forest at the `fit_mf` shapes.
 //!
 //! Plain `Instant`-based harness (the workspace builds offline, without
 //! criterion): each benchmark reports min/mean over a fixed sample count.
@@ -15,7 +16,11 @@ use leva_embedding::{
 };
 use leva_graph::{build_graph, GraphConfig};
 use leva_interner::codec::{crc32, Crc32};
-use leva_linalg::{randomized_svd, sym_eig, thin_q, Matrix, RsvdOptions};
+use leva_linalg::{
+    randomized_svd, spectral_propagate, sym_eig, thin_q, Matrix, ProneOptions, RsvdOptions,
+};
+use leva_ml::{DecisionTree, ForestConfig, Model, RandomForest, TreeConfig};
+use leva_relational::Table;
 use leva_textify::{textify, TextifyConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,17 +67,130 @@ fn bench_proximity_and_rsvd() {
         proximity_matrix(&graph, 1e-3)
     });
     let m = proximity_matrix(&graph, 1e-3);
-    bench("embedding/randomized_svd_d32", || {
-        randomized_svd(
-            &m,
-            RsvdOptions {
-                rank: 32,
-                oversample: 8,
-                power_iters: 1,
-                seed: 1,
-                threads: 1,
-            },
-        )
+    for (name, threads) in [
+        ("embedding/randomized_svd_d32", 1),
+        ("embedding/randomized_svd_d32_t2", 2),
+    ] {
+        bench(name, || {
+            randomized_svd(
+                &m,
+                RsvdOptions {
+                    rank: 32,
+                    oversample: 8,
+                    power_iters: 1,
+                    seed: 1,
+                    threads,
+                },
+            )
+        });
+    }
+}
+
+/// ProNE and the forest at the shapes of `bench_all`'s `fit_mf`: the
+/// financial dataset at scale 3 with a quarter of its loans held out
+/// (≈23.7k graph nodes, MF at dim 32), and the ≈1800 × 64 row-plus-value
+/// training matrix under 10 trees of depth 8. ProNE runs at 1 and 2
+/// threads. `RandomForest::fit` takes every available core and no thread
+/// setting, so its one-thread form is the same ten trees grown one after
+/// another through `DecisionTree`, from the same bootstrap stream.
+fn bench_fit_mf_shape() {
+    let ds = financial(3.0, 7);
+    let base = ds.base();
+    let mut train = Table::new(base.name(), base.column_names());
+    for r in 0..base.row_count() * 3 / 4 {
+        train
+            .push_row(base.row(r).expect("row within the base table"))
+            .expect("row of the same schema");
+    }
+    let labels: Vec<String> = train
+        .column(&ds.target_column)
+        .expect("target column")
+        .values()
+        .iter()
+        .map(|v| v.render())
+        .collect();
+    let mut db = ds.db.clone();
+    *db.table_mut(&ds.base_table).expect("base table") = train;
+    let mut cfg = LevaConfig::fast().with_dim(32);
+    cfg.method = EmbeddingMethod::MatrixFactorization;
+    let model = Leva::with_config(cfg.clone())
+        .base_table(&ds.base_table)
+        .target(&ds.target_column)
+        .fit(&db)
+        .expect("fit");
+
+    let svd = randomized_svd(
+        &proximity_matrix(&model.graph, cfg.mf.tau),
+        RsvdOptions {
+            rank: 32,
+            oversample: cfg.mf.oversample,
+            power_iters: cfg.mf.power_iters,
+            seed: cfg.mf.seed,
+            threads: 1,
+        },
+    );
+    let adjacency = model.graph.to_csr();
+    let n = svd.u.rows();
+    for threads in [1, 2] {
+        bench(&format!("embedding/prone_{n}x32_t{threads}"), || {
+            spectral_propagate(
+                &adjacency,
+                &svd.u,
+                ProneOptions {
+                    threads,
+                    ..ProneOptions::default()
+                },
+            )
+        });
+    }
+
+    let x = model
+        .featurize(&FeaturizeRequest::base_all(Featurization::RowPlusValue))
+        .expect("featurize");
+    let mut classes = labels.clone();
+    classes.sort();
+    classes.dedup();
+    let y: Vec<f64> = labels
+        .iter()
+        .map(|l| classes.binary_search(l).expect("label is a class") as f64)
+        .collect();
+    let forest_cfg = ForestConfig {
+        n_trees: 10,
+        tree: TreeConfig {
+            max_depth: 8,
+            ..TreeConfig::default()
+        },
+        ..ForestConfig::default()
+    };
+    let shape = format!("{}x{}", x.rows(), x.cols());
+    let max_features = (x.cols() as f64).sqrt().ceil() as usize;
+    bench(&format!("ml/forest_{shape}_t1"), || {
+        let mut rng = StdRng::seed_from_u64(forest_cfg.seed);
+        let samples: Vec<Vec<usize>> = (0..forest_cfg.n_trees)
+            .map(|_| (0..x.rows()).map(|_| rng.gen_range(0..x.rows())).collect())
+            .collect();
+        samples
+            .iter()
+            .enumerate()
+            .map(|(t, rows)| {
+                let mut tree = DecisionTree::classifier(
+                    classes.len(),
+                    TreeConfig {
+                        max_features: Some(max_features),
+                        seed: forest_cfg.seed.wrapping_add(1000 + t as u64),
+                        ..forest_cfg.tree
+                    },
+                );
+                tree.fit_indices(&x, &y, rows);
+                tree
+            })
+            .collect::<Vec<_>>()
+    });
+    let workers = leva_linalg::resolve_threads(0);
+    bench(&format!("ml/forest_{shape}_t{workers}"), || {
+        let mut forest = RandomForest::classifier(classes.len(), forest_cfg);
+        forest.fit(&x, &y);
+        forest
     });
 }
 
@@ -285,6 +403,7 @@ fn main() {
     bench_crc32();
     bench_model_stamp();
     bench_proximity_and_rsvd();
+    bench_fit_mf_shape();
     bench_walks_and_sgns();
     bench_sgns_relbench_shape();
     bench_end_to_end_mf();

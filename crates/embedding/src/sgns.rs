@@ -500,7 +500,9 @@ unsafe fn side_by_side_dots(a: &[f64], rows: &[*mut f64], out: &mut [f64]) {
 /// serially from `-0.0` like `leva_linalg::dot` (`Iterator::sum`), so each
 /// equals `dot(a, rows[k])` bit for bit.
 fn dots<const N: usize>(a: &[f64], rows: [&[f64]; N]) -> [f64; N] {
-    let rows = rows.map(|r| &r[..a.len()]);
+    // `from_fn` inlines where `rows.map` became an out-of-line `try_map`
+    // call; re-slicing to `a.len()` still lets `r[i]` skip its bounds check.
+    let rows: [&[f64]; N] = std::array::from_fn(|k| &rows[k][..a.len()]);
     let mut acc = [-0.0f64; N];
     for (i, &x) in a.iter().enumerate() {
         for (s, r) in acc.iter_mut().zip(&rows) {

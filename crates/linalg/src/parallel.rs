@@ -54,22 +54,47 @@ pub fn for_each_row_band<F>(data: &mut [f64], row_width: usize, threads: usize, 
 where
     F: Fn(std::ops::Range<usize>, &mut [f64]) + Sync,
 {
+    for_each_row_band_pair(data, &mut [], row_width, threads, |rows, band, _| {
+        f(rows, band)
+    });
+}
+
+/// [`for_each_row_band`] over two buffers that share their rows: `f(rows,
+/// band, other_band)` gets the same rows of `data` and of `other`. `other`
+/// is either as long as `data` or empty (then every `other_band` is
+/// empty). The bands, and so the workers, are those of `data` alone.
+pub(crate) fn for_each_row_band_pair<F>(
+    data: &mut [f64],
+    other: &mut [f64],
+    row_width: usize,
+    threads: usize,
+    f: F,
+) where
+    F: Fn(std::ops::Range<usize>, &mut [f64], &mut [f64]) + Sync,
+{
+    assert!(
+        other.is_empty() || other.len() == data.len(),
+        "paired buffers differ in length"
+    );
     let n_rows = data.len().checked_div(row_width).unwrap_or(0);
     let workers = band_workers(data.len(), row_width, threads);
     if workers == 1 {
-        f(0..n_rows, data);
+        f(0..n_rows, data, other);
         return;
     }
+    let other_width = if other.is_empty() { 0 } else { row_width };
     let band = n_rows.div_ceil(workers);
     std::thread::scope(|s| {
-        let mut rest = data;
+        let (mut rest, mut other_rest) = (data, other);
         let mut start = 0;
         while start < n_rows {
             let end = (start + band).min(n_rows);
             let (chunk, tail) = rest.split_at_mut((end - start) * row_width);
+            let (other_chunk, other_tail) = other_rest.split_at_mut((end - start) * other_width);
             rest = tail;
+            other_rest = other_tail;
             let f = &f;
-            s.spawn(move || f(start..end, chunk));
+            s.spawn(move || f(start..end, chunk, other_chunk));
             start = end;
         }
     });
@@ -142,6 +167,39 @@ mod tests {
                     .collect();
                 assert_eq!(data, want, "{n_rows}x{width} threads={threads}");
             }
+        }
+    }
+
+    #[test]
+    fn paired_bands_get_the_same_rows_of_both_buffers() {
+        let (n_rows, width) = (10, MIN_BAND_LEN);
+        for threads in [1, 2, 3, 8] {
+            let mut data = vec![0.0; n_rows * width];
+            let mut other: Vec<f64> = (0..n_rows * width).map(|i| (i / width) as f64).collect();
+            for_each_row_band_pair(
+                &mut data,
+                &mut other,
+                width,
+                threads,
+                |rows, band, other| {
+                    assert_eq!(band.len(), other.len());
+                    for (offset, r) in rows.enumerate() {
+                        for (v, o) in band[offset * width..(offset + 1) * width]
+                            .iter_mut()
+                            .zip(&mut other[offset * width..(offset + 1) * width])
+                        {
+                            assert_eq!(*o, r as f64);
+                            *v = *o + 1.0;
+                            *o = -1.0;
+                        }
+                    }
+                },
+            );
+            let want: Vec<f64> = (0..n_rows * width)
+                .map(|i| (i / width + 1) as f64)
+                .collect();
+            assert_eq!(data, want, "threads={threads}");
+            assert!(other.iter().all(|&o| o == -1.0), "threads={threads}");
         }
     }
 

@@ -7,6 +7,7 @@
 
 use crate::dense::Matrix;
 use crate::eig::sym_eig;
+use crate::parallel::for_each_row_band_pair;
 use crate::qr::thin_q;
 use crate::sparse::CsrMatrix;
 use rand::rngs::StdRng;
@@ -60,32 +61,37 @@ impl Default for RsvdOptions {
 /// ([`Matrix::gram_threads`]), and the Gram's eigendecomposition
 /// ([`sym_eig`]), whose top `k` vectors `W` give `U = Q W` and whose values
 /// give `Σ²`.
+///
+/// `Aᵀ` is built once, so every `Aᵀ·Q` is a row-banded product like `A·Q`.
+/// The `m × l` products (`Ω`, each `Aᵀ·Q`, then `Bᵀ`) share one buffer and
+/// the `n × l` products (each `A·Q`) another, and each buffer is dropped
+/// after its last read: at most four block-sized buffers, `thin_q`'s two
+/// included, are alive at once.
 pub fn randomized_svd(a: &CsrMatrix, opts: RsvdOptions) -> Svd {
     let n = a.n_rows();
     let m = a.n_cols();
     let k = opts.rank.min(n).min(m).max(1);
     let l = (k + opts.oversample).min(n).min(m);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let threads = opts.threads;
 
     // Stage A: range finding. Y = A * Ω with Ω Gaussian (m × l).
-    let mut omega = Matrix::zeros(m, l);
-    for v in omega.data_mut() {
-        *v = gaussian(&mut rng);
-    }
-    let threads = opts.threads;
+    let mut omega = gaussian_matrix(m, l, opts.seed, threads);
+    let at = a.transpose();
     let mut y = a.spmm_dense_threads(&omega, threads);
     // Power iterations with re-orthonormalization for numerical stability.
     for _ in 0..opts.power_iters {
-        let q = thin_q(&y);
-        let z = a.tr_spmm_dense_threads(&q, threads);
-        let qz = thin_q(&z);
-        y = a.spmm_dense_threads(&qz, threads);
+        at.spmm_dense_into(&thin_q(&y), &mut omega, threads); // Z = Aᵀ Q
+        a.spmm_dense_into(&thin_q(&omega), &mut y, threads); // Y = A Q_Z
     }
     let q = thin_q(&y); // n × l, orthonormal columns
+    drop(y);
 
     // Stage B: Bᵀ = Aᵀ Q (m × l); B = Qᵀ A is l × m but never materialized.
-    let bt = a.tr_spmm_dense_threads(&q, threads);
+    let mut bt = omega;
+    at.spmm_dense_into(&q, &mut bt, threads);
+    drop(at);
     let gram = bt.gram_threads(threads); // B Bᵀ, l × l symmetric
+    drop(bt);
     let eig = sym_eig(&gram);
 
     // Singular values and the small factor.
@@ -98,10 +104,29 @@ pub fn randomized_svd(a: &CsrMatrix, opts: RsvdOptions) -> Svd {
     Svd { u, s }
 }
 
-/// Standard normal sample via Box-Muller (avoids depending on rand_distr).
-pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen::<f64>();
+/// The `rows × cols` Gaussian test matrix of [`randomized_svd`]: in
+/// row-major order, each entry draws its `u1` and then its `u2` from
+/// `StdRng::seed_from_u64(seed)`. The uniforms are drawn in that order;
+/// the Box–Muller transform, most of the cost, runs in row bands.
+fn gaussian_matrix(rows: usize, cols: usize, seed: u64, threads: usize) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Matrix::zeros(rows, cols);
+    let mut u2 = vec![0.0; rows * cols];
+    for (u1, u2) in out.data_mut().iter_mut().zip(&mut u2) {
+        *u1 = rng.gen_range(f64::EPSILON..1.0);
+        *u2 = rng.gen::<f64>();
+    }
+    for_each_row_band_pair(out.data_mut(), &mut u2, cols, threads, |_, band, u2| {
+        for (v, &u2) in band.iter_mut().zip(u2.iter()) {
+            *v = box_muller(*v, u2);
+        }
+    });
+    out
+}
+
+/// Standard normal sample via Box-Muller (avoids depending on rand_distr)
+/// from `u1` in `[ε, 1)` and `u2` in `[0, 1)`.
+fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
@@ -109,6 +134,12 @@ pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
 mod tests {
     use super::*;
     use crate::parallel::band_workers;
+
+    fn gaussian(rng: &mut StdRng) -> f64 {
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen::<f64>();
+        box_muller(u1, u2)
+    }
 
     fn low_rank_matrix(n: usize, m: usize, rank: usize, seed: u64) -> CsrMatrix {
         // Dense product of two random thin factors, stored sparsely.
@@ -134,13 +165,25 @@ mod tests {
     /// The right factor the SVD does not form: `V = Aᵀ U Σ⁻¹` (m × k),
     /// with zero columns for zero singular values.
     fn right_factor(a: &CsrMatrix, svd: &Svd, threads: usize) -> Matrix {
-        let mut v = a.tr_spmm_dense_threads(&svd.u, threads);
+        let mut v = a.transpose().spmm_dense_threads(&svd.u, threads);
         for r in 0..v.rows() {
             for (x, &s) in v.row_mut(r).iter_mut().zip(&svd.s) {
                 *x = if s > 1e-12 { *x / s } else { 0.0 };
             }
         }
         v
+    }
+
+    #[test]
+    fn banded_gaussian_matrix_matches_sequential_draws() {
+        let (rows, cols) = (2000, 38);
+        let mut rng = StdRng::seed_from_u64(41);
+        let want: Vec<f64> = (0..rows * cols).map(|_| gaussian(&mut rng)).collect();
+        for threads in [1, 2, 8] {
+            assert_eq!(band_workers(rows * cols, cols, threads), threads);
+            let got = gaussian_matrix(rows, cols, 41, threads);
+            assert_eq!(got.data(), &want[..], "threads={threads}");
+        }
     }
 
     #[test]

@@ -153,71 +153,91 @@ impl CsrMatrix {
     /// accumulated by exactly one thread in the sequential entry order, so
     /// the result is bitwise identical at any thread count.
     pub fn spmm_dense_threads(&self, b: &Matrix, threads: usize) -> Matrix {
+        let mut out = Matrix::zeros(self.n_rows, b.cols());
+        self.spmm_dense_into(b, &mut out, threads);
+        out
+    }
+
+    /// [`Self::spmm_dense_threads`] written over `out` (`n_rows × b.cols()`),
+    /// so that a caller looping over products reuses one buffer.
+    pub(crate) fn spmm_dense_into(&self, b: &Matrix, out: &mut Matrix, threads: usize) {
         assert_eq!(b.rows(), self.n_cols, "spmm dimension mismatch");
         let k = b.cols();
-        let mut out = Matrix::zeros(self.n_rows, k);
+        assert_eq!(
+            (out.rows(), out.cols()),
+            (self.n_rows, k),
+            "spmm output shape"
+        );
         for_each_row_band(out.data_mut(), k, threads, |rows, band| {
             for (offset, r) in rows.enumerate() {
-                let out_row = &mut band[offset * k..(offset + 1) * k];
-                for idx in self.indptr[r]..self.indptr[r + 1] {
-                    let v = self.data[idx];
-                    let b_row = b.row(self.indices[idx] as usize);
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += v * bv;
-                    }
-                }
+                self.spmm_row(r, b, &mut band[offset * k..(offset + 1) * k]);
             }
         });
-        out
     }
 
-    /// `selfᵀ * b` without materializing the transpose.
-    pub fn tr_spmm_dense(&self, b: &Matrix) -> Matrix {
-        self.tr_spmm_dense_threads(b, 1)
-    }
-
-    /// `selfᵀ * b` with *output* rows (columns of `self`) sharded across
-    /// `threads` workers (`0` = available parallelism).
-    ///
-    /// The sequential kernel scatters into output rows while scanning input
-    /// rows in order; to stay bitwise identical, each worker re-scans every
-    /// input row and accumulates only the entries that land in its output
-    /// band — preserving the exact per-output-row accumulation order.
-    /// (Merging per-thread partial sums instead would regroup float
-    /// additions and change low-order bits with the thread count.)
-    pub fn tr_spmm_dense_threads(&self, b: &Matrix, threads: usize) -> Matrix {
-        assert_eq!(b.rows(), self.n_rows, "tr_spmm dimension mismatch");
-        let k = b.cols();
-        let mut out = Matrix::zeros(self.n_cols, k);
-        for_each_row_band(out.data_mut(), k, threads, |cols, band| {
-            for r in 0..self.n_rows {
-                let b_row = b.row(r);
-                for idx in self.indptr[r]..self.indptr[r + 1] {
-                    let c = self.indices[idx] as usize;
-                    if !cols.contains(&c) {
-                        continue;
-                    }
-                    let v = self.data[idx];
-                    let offset = c - cols.start;
-                    let out_row = &mut band[offset * k..(offset + 1) * k];
-                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                        *o += v * bv;
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// Materializes the transpose.
-    pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for r in 0..self.n_rows {
-            for idx in self.indptr[r]..self.indptr[r + 1] {
-                triplets.push((self.indices[idx], r as u32, self.data[idx]));
+    /// Writes row `r` of `self * b` into `out`: summed from `0.0` over the
+    /// row's entries in stored order, the order every product here keeps.
+    pub(crate) fn spmm_row(&self, r: usize, b: &Matrix, out: &mut [f64]) {
+        out.fill(0.0);
+        for idx in self.indptr[r]..self.indptr[r + 1] {
+            let v = self.data[idx];
+            let b_row = b.row(self.indices[idx] as usize);
+            for (o, &bv) in out.iter_mut().zip(b_row) {
+                *o += v * bv;
             }
         }
-        CsrMatrix::from_triplets(self.n_cols, self.n_rows, triplets)
+    }
+
+    /// Materializes the transpose. Each row of the result lists its entries
+    /// in ascending column order (ascending row of `self`), so
+    /// `self.transpose().spmm_dense_threads(b, t)` sums each entry of
+    /// `selfᵀ·b` in ascending input-row order.
+    pub fn transpose(&self) -> CsrMatrix {
+        let nnz = self.nnz();
+        let mut indptr = vec![0usize; self.n_cols + 1];
+        for &c in &self.indices {
+            indptr[c as usize + 1] += 1;
+        }
+        for c in 0..self.n_cols {
+            indptr[c + 1] += indptr[c];
+        }
+        let mut next = indptr[..self.n_cols].to_vec();
+        let mut indices = vec![0u32; nnz];
+        let mut data = vec![0.0; nnz];
+        for r in 0..self.n_rows {
+            for idx in self.indptr[r]..self.indptr[r + 1] {
+                let slot = &mut next[self.indices[idx] as usize];
+                indices[*slot] = r as u32;
+                data[*slot] = self.data[idx];
+                *slot += 1;
+            }
+        }
+        Self::from_parts(self.n_cols, self.n_rows, indptr, indices, data)
+    }
+
+    /// Assembles a matrix from CSR arrays whose rows are already sorted by
+    /// column, without duplicates (what [`Self::from_triplets`] produces).
+    pub(crate) fn from_parts(
+        n_rows: usize,
+        n_cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        data: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(indptr.len(), n_rows + 1);
+        debug_assert_eq!(indptr.last(), Some(&indices.len()));
+        debug_assert_eq!(indices.len(), data.len());
+        debug_assert!((0..n_rows).all(|r| {
+            let row = &indices[indptr[r]..indptr[r + 1]];
+            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&c| (c as usize) < n_cols)
+        }));
+        Self {
+            n_rows,
+            n_cols,
+            indptr,
+            indices,
+            data,
+        }
     }
 
     /// Materializes as a dense matrix (test helper; avoid for large inputs).
@@ -243,6 +263,49 @@ impl CsrMatrix {
 mod tests {
     use super::*;
     use crate::parallel::band_workers;
+
+    /// `aᵀ * b` without the transpose, the oracle of the transposed
+    /// product: each band re-scans every input row in order and scatters
+    /// the entries that land in its output rows.
+    fn tr_spmm_rescan(a: &CsrMatrix, b: &Matrix, threads: usize) -> Matrix {
+        assert_eq!(b.rows(), a.n_rows, "tr_spmm dimension mismatch");
+        let k = b.cols();
+        let mut out = Matrix::zeros(a.n_cols, k);
+        for_each_row_band(out.data_mut(), k, threads, |cols, band| {
+            for r in 0..a.n_rows {
+                let b_row = b.row(r);
+                for idx in a.indptr[r]..a.indptr[r + 1] {
+                    let c = a.indices[idx] as usize;
+                    if !cols.contains(&c) {
+                        continue;
+                    }
+                    let v = a.data[idx];
+                    let offset = c - cols.start;
+                    let out_row = &mut band[offset * k..(offset + 1) * k];
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += v * bv;
+                    }
+                }
+            }
+        });
+        out
+    }
+
+    /// A pseudo-random `rows × cols` matrix with `nnz` draws (duplicates
+    /// summed) and values of mixed sign.
+    fn random_csr(rows: usize, cols: usize, nnz: usize, mut state: u64) -> CsrMatrix {
+        let mut triplets = Vec::new();
+        for _ in 0..nnz {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (state >> 33) % rows as u64;
+            let c = (state >> 12) % cols as u64;
+            let v = ((state >> 3) % 1000) as f64 / 7.0 - 71.0;
+            triplets.push((r as u32, c as u32, v));
+        }
+        CsrMatrix::from_triplets(rows, cols, triplets)
+    }
 
     fn sample() -> CsrMatrix {
         // [[1, 0, 2],
@@ -293,9 +356,66 @@ mod tests {
     fn tr_spmm_matches_transpose() {
         let m = sample();
         let b = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
-        let got = m.tr_spmm_dense(&b);
+        let got = m.transpose().spmm_dense(&b);
         let want = m.transpose().to_dense().matmul(&b);
         assert!(got.max_abs_diff(&want) < 1e-12);
+        assert_eq!(got, tr_spmm_rescan(&m, &b, 1));
+    }
+
+    #[test]
+    fn transposed_product_matches_the_rescan_kernel() {
+        // Rows 0..40 and columns 0..30 stay empty, as do every row and
+        // column divisible by 7: A has empty rows, so Aᵀ has empty
+        // columns, and the reverse.
+        let (rows, cols, width) = (300, 260, 130);
+        let full = random_csr(rows, cols, 3000, 5);
+        let mut triplets = Vec::new();
+        for r in 0..rows {
+            for (c, v) in full.row(r) {
+                if r >= 40 && c >= 30 && !r.is_multiple_of(7) && !c.is_multiple_of(7) {
+                    triplets.push((r as u32, c as u32, v));
+                }
+            }
+        }
+        let a = CsrMatrix::from_triplets(rows, cols, triplets);
+        assert_eq!(a.row(0).count(), 0);
+        assert_eq!(a.column_sums()[0], 0.0);
+        let b = Matrix::from_vec(
+            rows,
+            width,
+            (0..rows * width)
+                .map(|i| ((i as u64 * 2654435761) % 977) as f64 / 13.0 - 37.0)
+                .collect(),
+        );
+        let at = a.transpose();
+        assert_eq!(at.transpose(), a);
+        let want = tr_spmm_rescan(&a, &b, 1);
+        for threads in [1, 2, 8] {
+            assert_eq!(band_workers(cols * width, width, threads), threads);
+            assert_eq!(tr_spmm_rescan(&a, &b, threads).data(), want.data());
+            assert_eq!(
+                at.spmm_dense_threads(&b, threads).data(),
+                want.data(),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn transpose_matches_the_triplet_transpose() {
+        let a = random_csr(90, 70, 900, 3);
+        let mut triplets = Vec::new();
+        for r in 0..a.n_rows() {
+            for (c, v) in a.row(r) {
+                triplets.push((c as u32, r as u32, v));
+            }
+        }
+        assert_eq!(a.transpose(), CsrMatrix::from_triplets(70, 90, triplets));
+        let empty = CsrMatrix::from_triplets(3, 0, Vec::new());
+        assert_eq!(
+            empty.transpose(),
+            CsrMatrix::from_triplets(0, 3, Vec::new())
+        );
     }
 
     #[test]
@@ -303,18 +423,7 @@ mod tests {
         // Wide dense operands, so that every thread count below gets a
         // worker per thread in both products.
         let (rows, cols, width, tr_width) = (80, 72, 3300, 3700);
-        let mut triplets = Vec::new();
-        let mut state = 1u64;
-        for _ in 0..800 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let r = (state >> 33) % rows as u64;
-            let c = (state >> 12) % cols as u64;
-            let v = ((state >> 3) % 1000) as f64 / 7.0 - 71.0;
-            triplets.push((r as u32, c as u32, v));
-        }
-        let m = CsrMatrix::from_triplets(rows, cols, triplets);
+        let m = random_csr(rows, cols, 800, 1);
         let b = Matrix::from_vec(
             cols,
             width,
@@ -329,8 +438,9 @@ mod tests {
                 .map(|i| ((i as u64 * 40503) % 911) as f64 / 11.0 - 41.0)
                 .collect(),
         );
+        let mt = m.transpose();
         let seq = m.spmm_dense_threads(&b, 1);
-        let tr_seq = m.tr_spmm_dense_threads(&bt, 1);
+        let tr_seq = mt.spmm_dense_threads(&bt, 1);
         for threads in [2, 3, 8, 64] {
             assert_eq!(band_workers(rows * width, width, threads), threads);
             assert_eq!(band_workers(cols * tr_width, tr_width, threads), threads);
@@ -341,7 +451,7 @@ mod tests {
             );
             assert_eq!(
                 tr_seq.data(),
-                m.tr_spmm_dense_threads(&bt, threads).data(),
+                mt.spmm_dense_threads(&bt, threads).data(),
                 "tr_spmm threads={threads}"
             );
         }

@@ -2,7 +2,7 @@
 
 use crate::model::Model;
 use crate::tree::{DecisionTree, TreeConfig};
-use leva_linalg::Matrix;
+use leva_linalg::{par_map_range, resolve_threads, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,17 +73,18 @@ impl RandomForest {
     pub fn tree_count(&self) -> usize {
         self.trees.len()
     }
-}
 
-impl Model for RandomForest {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+    /// [`Model::fit`] with the trees grown over `threads` workers (`0` =
+    /// available parallelism). Every tree's bootstrap indices are drawn
+    /// first, from the one seeded stream in tree order, and the importances
+    /// are summed in tree order, so the forest is bitwise the same at any
+    /// worker count.
+    pub(crate) fn fit_threads(&mut self, x: &Matrix, y: &[f64], threads: usize) {
         let n = x.rows();
         let d = x.cols();
         assert_eq!(n, y.len());
         assert!(n > 0);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
-        self.trees.clear();
-        self.importance = vec![0.0; d];
         let max_features = self.cfg.tree.max_features.unwrap_or_else(|| {
             if self.classification {
                 (d as f64).sqrt().ceil() as usize
@@ -91,7 +92,16 @@ impl Model for RandomForest {
                 (d / 3).max(1)
             }
         });
-        for t in 0..self.cfg.n_trees {
+        let samples: Vec<Vec<usize>> = (0..self.cfg.n_trees)
+            .map(|_| {
+                if self.cfg.bootstrap {
+                    (0..n).map(|_| rng.gen_range(0..n)).collect()
+                } else {
+                    (0..n).collect()
+                }
+            })
+            .collect();
+        self.trees = par_map_range(self.cfg.n_trees, threads, |t| {
             let tree_cfg = TreeConfig {
                 max_features: Some(max_features.clamp(1, d)),
                 seed: self.cfg.seed.wrapping_add(1000 + t as u64),
@@ -102,16 +112,14 @@ impl Model for RandomForest {
             } else {
                 DecisionTree::regressor(tree_cfg)
             };
-            let indices: Vec<usize> = if self.cfg.bootstrap {
-                (0..n).map(|_| rng.gen_range(0..n)).collect()
-            } else {
-                (0..n).collect()
-            };
-            tree.fit_indices(x, y, &indices);
+            tree.fit_indices(x, y, &samples[t]);
+            tree
+        });
+        self.importance = vec![0.0; d];
+        for tree in &self.trees {
             for (acc, &imp) in self.importance.iter_mut().zip(tree.feature_importance()) {
                 *acc += imp;
             }
-            self.trees.push(tree);
         }
         let total: f64 = self.importance.iter().sum();
         if total > 0.0 {
@@ -119,6 +127,15 @@ impl Model for RandomForest {
                 *v /= total;
             }
         }
+    }
+}
+
+impl Model for RandomForest {
+    /// Grows the trees on every available core (`resolve_threads(0)`, the
+    /// default of `LevaConfig::threads`). The forest is bitwise the same at
+    /// any worker count, so it takes no thread setting.
+    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+        self.fit_threads(x, y, resolve_threads(0));
     }
 
     fn predict(&self, x: &Matrix) -> Vec<f64> {
@@ -163,6 +180,116 @@ impl Model for RandomForest {
 mod tests {
     use super::*;
     use crate::metrics::{accuracy, r2_score};
+
+    /// The one-tree-after-another fit, kept as the oracle of
+    /// `fit_threads`: each tree draws its bootstrap indices just before it
+    /// grows.
+    fn fit_sequential(f: &mut RandomForest, x: &Matrix, y: &[f64]) {
+        let n = x.rows();
+        let d = x.cols();
+        let mut rng = StdRng::seed_from_u64(f.cfg.seed);
+        f.trees.clear();
+        f.importance = vec![0.0; d];
+        let max_features = f.cfg.tree.max_features.unwrap_or_else(|| {
+            if f.classification {
+                (d as f64).sqrt().ceil() as usize
+            } else {
+                (d / 3).max(1)
+            }
+        });
+        for t in 0..f.cfg.n_trees {
+            let tree_cfg = TreeConfig {
+                max_features: Some(max_features.clamp(1, d)),
+                seed: f.cfg.seed.wrapping_add(1000 + t as u64),
+                ..f.cfg.tree
+            };
+            let mut tree = if f.classification {
+                DecisionTree::classifier(f.n_classes, tree_cfg)
+            } else {
+                DecisionTree::regressor(tree_cfg)
+            };
+            let indices: Vec<usize> = if f.cfg.bootstrap {
+                (0..n).map(|_| rng.gen_range(0..n)).collect()
+            } else {
+                (0..n).collect()
+            };
+            tree.fit_indices(x, y, &indices);
+            for (acc, &imp) in f.importance.iter_mut().zip(tree.feature_importance()) {
+                *acc += imp;
+            }
+            f.trees.push(tree);
+        }
+        let total: f64 = f.importance.iter().sum();
+        if total > 0.0 {
+            for v in &mut f.importance {
+                *v /= total;
+            }
+        }
+    }
+
+    /// 240 rows of 6 features drawn from three values each, so nearly
+    /// every split candidate is tied; the labels are three classes and the
+    /// regression targets repeat the same few values.
+    fn tied_data() -> (Matrix, Vec<f64>, Vec<f64>) {
+        let mut state = 17u64;
+        let mut next = |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        let (n, d) = (240, 6);
+        let data: Vec<f64> = (0..n * d).map(|_| next(3) as f64).collect();
+        let x = Matrix::from_vec(n, d, data);
+        let classes = (0..n)
+            .map(|r| ((x[(r, 0)] + x[(r, 2)] + next(2) as f64) as u64 % 3) as f64)
+            .collect();
+        let targets = (0..n)
+            .map(|r| x[(r, 1)] * 0.5 - x[(r, 3)] + next(4) as f64 * 0.25)
+            .collect();
+        (x, classes, targets)
+    }
+
+    #[test]
+    fn threaded_fit_is_bitwise_the_sequential_fit() {
+        let (x, classes, targets) = tied_data();
+        for bootstrap in [true, false] {
+            let cfg = ForestConfig {
+                n_trees: 7,
+                tree: TreeConfig {
+                    max_depth: 6,
+                    ..TreeConfig::default()
+                },
+                bootstrap,
+                seed: 99,
+            };
+            let cases = [
+                (RandomForest::classifier(3, cfg), &classes),
+                (RandomForest::regressor(cfg), &targets),
+            ];
+            for (unfitted, y) in cases {
+                let mut want = unfitted.clone();
+                fit_sequential(&mut want, &x, y);
+                let want_trees = format!("{:?}", want.trees);
+                let want_imp: Vec<u64> = want.importance.iter().map(|v| v.to_bits()).collect();
+                let want_pred: Vec<u64> = want.predict(&x).iter().map(|v| v.to_bits()).collect();
+                assert!(want.importance.iter().all(|&v| v > 0.0));
+                for threads in [1, 2, 8] {
+                    let mut got = unfitted.clone();
+                    got.fit_threads(&x, y, threads);
+                    let case = format!(
+                        "classification={} bootstrap={bootstrap} threads={threads}",
+                        got.classification
+                    );
+                    assert_eq!(format!("{:?}", got.trees), want_trees, "{case}");
+                    let imp: Vec<u64> = got.importance.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(imp, want_imp, "{case}");
+                    let pred: Vec<u64> = got.predict(&x).iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(pred, want_pred, "{case}");
+                }
+            }
+        }
+    }
 
     fn xor_data() -> (Matrix, Vec<f64>) {
         // XOR-ish pattern a single linear model cannot fit.

@@ -13,6 +13,7 @@ echo "==> cargo test --release (bitwise QR, Jacobi eigen, Gram, CRC-32 and SGNS 
 cargo test --release -q -p leva-linalg
 cargo test --release -q -p leva-interner
 cargo test --release -q -p leva-embedding -p leva-serve
+cargo test --release -q -p leva-ml
 cargo test --release -q --test determinism
 
 echo "==> bench_all (the repository benchmark builds and its own tests pass against the current API)"
