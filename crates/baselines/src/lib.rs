@@ -5,8 +5,8 @@
 //!
 //! * **Base / Full / Full+FE** (§2.1-2.2): one-hot featurization of the
 //!   base table, of the oracle-joined full table, and of the full table
-//!   after feature selection (`leva-ml`'s mutual-information and
-//!   ARDA-style selectors).
+//!   after feature selection (`leva-ml`'s ARDA-style random-injection
+//!   selector, applied in `leva-bench`'s protocol).
 //! * **Disc** (§6.1): join *discovery* via MinHash/Lazo-style containment
 //!   estimation, then the same assembly over discovered (possibly
 //!   spurious) joins.

@@ -5,7 +5,7 @@
 //!
 //! Usage: `exp_table8 [--entities N]`
 
-use leva::{match_embeddings, resolve_entities, score_matches, ErOptions, LevaConfig};
+use leva::{match_embeddings, resolve_entities, score_matches, LevaConfig};
 use leva_baselines::{Composition, GraphBaseline, TextEmbedding};
 use leva_bench::report::{f3, print_table};
 use leva_datasets::{er_suite, ErDataset};
@@ -34,7 +34,6 @@ fn main() {
         threads: 4,
         ..Default::default()
     };
-    let er_opts = ErOptions::default();
 
     println!("# Table 8 — entity resolution F1");
     let header: Vec<String> = ["dataset", "EmbDI-S", "EmbDI-F", "DeepER", "Leva"]
@@ -43,11 +42,11 @@ fn main() {
         .collect();
     let mut rows = Vec::new();
     for ds in &suite {
-        let embdi_s = embdi_f1(ds, &sgns, &er_opts, false);
-        let embdi_f = embdi_f1(ds, &sgns, &er_opts, true);
-        let deeper = deeper_f1(ds, &sgns, &er_opts);
+        let embdi_s = embdi_f1(ds, &sgns, false);
+        let embdi_f = embdi_f1(ds, &sgns, true);
+        let deeper = deeper_f1(ds, &sgns);
         let leva_cfg = LevaConfig::fast().with_dim(32).with_seed(3);
-        let leva = resolve_entities(&ds.left, &ds.right, &ds.matches, &leva_cfg, &er_opts)
+        let leva = resolve_entities(&ds.left, &ds.right, &ds.matches, &leva_cfg)
             .expect("leva er")
             .f1;
         eprintln!(
@@ -80,7 +79,7 @@ fn combined_db(ds: &ErDataset) -> Database {
     db
 }
 
-fn embdi_f1(ds: &ErDataset, sgns: &SgnsConfig, opts: &ErOptions, split_words: bool) -> f64 {
+fn embdi_f1(ds: &ErDataset, sgns: &SgnsConfig, split_words: bool) -> f64 {
     let db = combined_db(ds);
     let textify_cfg = TextifyConfig {
         split_multiword: split_words,
@@ -98,10 +97,10 @@ fn embdi_f1(ds: &ErDataset, sgns: &SgnsConfig, opts: &ErOptions, split_words: bo
     };
     let left = gather("er_left", ds.left.row_count());
     let right = gather("er_right", ds.right.row_count());
-    score_matches(&match_embeddings(&left, &right, opts), &ds.matches).f1
+    score_matches(&match_embeddings(&left, &right), &ds.matches).f1
 }
 
-fn deeper_f1(ds: &ErDataset, sgns: &SgnsConfig, opts: &ErOptions) -> f64 {
+fn deeper_f1(ds: &ErDataset, sgns: &SgnsConfig) -> f64 {
     let db = combined_db(ds);
     // DeepER composes tuple embeddings from token vectors attribute-wise;
     // featurize both tables through the same fitted model.
@@ -113,5 +112,5 @@ fn deeper_f1(ds: &ErDataset, sgns: &SgnsConfig, opts: &ErOptions) -> f64 {
     };
     let left = featurize(&ds.left);
     let right = featurize(&ds.right);
-    score_matches(&match_embeddings(&left, &right, opts), &ds.matches).f1
+    score_matches(&match_embeddings(&left, &right), &ds.matches).f1
 }

@@ -100,6 +100,10 @@ impl ModelKind {
     }
 }
 
+/// Containment threshold of the Disc baseline's join discovery; Leva's
+/// schema-free discovery keeps its own default, the same 0.7.
+const DISC_THRESHOLD: f64 = 0.7;
+
 /// Protocol options.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
@@ -114,8 +118,6 @@ pub struct EvalOptions {
     /// Worker threads: drives the deterministic pipeline stages and SGNS
     /// Hogwild training (see `LevaConfig::with_threads`).
     pub threads: usize,
-    /// Disc containment threshold.
-    pub disc_threshold: f64,
     /// Run a small hyper-parameter grid per model (the paper grid-searches
     /// every cell); `false` uses sensible defaults for speed.
     pub grid: bool,
@@ -144,7 +146,6 @@ impl Default for EvalOptions {
             dim: 32,
             featurization: Featurization::RowPlusValue,
             threads: 4,
-            disc_threshold: 0.7,
             grid: false,
             sgns_epochs: 5,
             walk_length: 60,
@@ -273,7 +274,7 @@ pub fn prepare(ds: &LabeledDataset, approach: Approach, opts: &EvalOptions) -> P
                     // "identify and materialize join to the Base table":
                     // one-hop joins touching the base table only (discovery
                     // is not applied transitively), spurious hits included.
-                    let fks: Vec<ForeignKey> = discover_joins(&train_db, opts.disc_threshold)
+                    let fks: Vec<ForeignKey> = discover_joins(&train_db, DISC_THRESHOLD)
                         .into_iter()
                         .map(|d| d.fk)
                         .filter(|fk| fk.from_table == *base || fk.to_table == *base)
@@ -324,7 +325,6 @@ pub fn prepare(ds: &LabeledDataset, approach: Approach, opts: &EvalOptions) -> P
                 let mut s = train_db.clone();
                 s.clear_foreign_keys();
                 cfg.discovery.enabled = true;
-                cfg.discovery.threshold = opts.disc_threshold;
                 stripped = s;
                 &stripped
             } else {

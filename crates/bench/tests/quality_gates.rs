@@ -185,7 +185,6 @@ fn discovery_recovers_every_declared_fk() {
             &stripped,
             &DiscoveryConfig {
                 enabled: true,
-                threshold: opts.disc_threshold,
                 threads: opts.threads,
                 ..DiscoveryConfig::default()
             },

@@ -31,7 +31,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use leva_embedding::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
+use leva_embedding::{retrofit_embeddings, RetrofitReport};
 use leva_relational::{CellIssue, IngestMode, IngestOptions, IngestReport, IssueReason, Value};
 
 use crate::pipeline::{LevaError, LevaModel};
@@ -141,12 +141,7 @@ impl LevaModel {
             }
         }
         let affected: Vec<u32> = affected.into_iter().collect();
-        report.retrofit = retrofit_embeddings(
-            &mut self.store,
-            &self.graph,
-            &affected,
-            &RetrofitConfig::default(),
-        );
+        report.retrofit = retrofit_embeddings(&mut self.store, &self.graph, &affected);
 
         // 4. Featurizer staleness: the cache slots that could differ are
         //    the changed values, plus every value adjacent to a row whose
@@ -201,15 +196,14 @@ impl LevaModel {
                     IssueReason::RaggedRowTruncated
                 };
                 report.rows_ragged += 1;
-                record_issue(
-                    &mut report,
-                    options,
+                report.record(
                     CellIssue {
                         line: i + 1,
                         column: row.len().min(arity),
                         value: format!("arity {} (expected {arity})", row.len()),
                         reason,
                     },
+                    options.max_recorded_issues,
                 );
                 row.resize(arity, Value::Null);
             }
@@ -220,15 +214,14 @@ impl LevaModel {
                         // constructed `Value::Float(NaN)` cells cannot leak
                         // unorderable numbers into histograms or deltas.
                         report.cells_non_finite += 1;
-                        record_issue(
-                            &mut report,
-                            options,
+                        report.record(
                             CellIssue {
                                 line: i + 1,
                                 column: c,
                                 value: v.to_string(),
                                 reason: IssueReason::NonFiniteNumeric,
                             },
+                            options.max_recorded_issues,
                         );
                         *cell = Value::Null;
                     }
@@ -274,13 +267,4 @@ fn changed_value_slots(model: &LevaModel, new_rows: &[u32], affected: &[u32]) ->
         }
     }
     changed.into_iter().collect()
-}
-
-/// Records an issue on a hand-built report, honoring the cap the CSV path
-/// uses (`IngestOptions::max_recorded_issues`).
-fn record_issue(report: &mut IngestReport, options: &IngestOptions, issue: CellIssue) {
-    if report.issues.len() < options.max_recorded_issues {
-        report.issues.push(issue);
-    }
-    report.issues_total += 1;
 }

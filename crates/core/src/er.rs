@@ -25,28 +25,14 @@ pub struct ErResult {
     pub predicted: usize,
 }
 
-/// Matching hyperparameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ErOptions {
-    /// Cosine-similarity threshold below which a best pair is rejected.
-    pub threshold: f64,
-    /// Require the pair to be mutual nearest neighbours.
-    pub mutual: bool,
-}
-
-impl Default for ErOptions {
-    fn default() -> Self {
-        Self {
-            threshold: 0.3,
-            mutual: true,
-        }
-    }
-}
+/// Cosine similarity below which a left row's best match is rejected.
+const THRESHOLD: f64 = 0.3;
 
 /// Matches rows of `left` (n_l × d) against rows of `right` (n_r × d) by
-/// cosine similarity: each left row's best right candidate is kept when it
-/// clears the threshold and (optionally) is mutual.
-pub fn match_embeddings(left: &Matrix, right: &Matrix, opts: &ErOptions) -> Vec<(usize, usize)> {
+/// cosine similarity: each left row's best right candidate is kept when its
+/// cosine is at least 0.3 and the pair is mutual (that right row's best left
+/// candidate is the same left row).
+pub fn match_embeddings(left: &Matrix, right: &Matrix) -> Vec<(usize, usize)> {
     let nl = left.rows();
     let nr = right.rows();
     if nl == 0 || nr == 0 {
@@ -78,10 +64,7 @@ pub fn match_embeddings(left: &Matrix, right: &Matrix, opts: &ErOptions) -> Vec<
         .collect();
     let mut predicted = Vec::new();
     for (l, &(r, s)) in best_right.iter().enumerate() {
-        if s < opts.threshold {
-            continue;
-        }
-        if opts.mutual && best_left[r] != l {
+        if s < THRESHOLD || best_left[r] != l {
             continue;
         }
         predicted.push((l, r));
@@ -123,7 +106,6 @@ pub fn resolve_entities(
     right: &Table,
     truth: &[(usize, usize)],
     cfg: &LevaConfig,
-    opts: &ErOptions,
 ) -> Result<ErResult, LevaError> {
     let mut left = left.clone();
     left.set_name("er_left");
@@ -151,7 +133,7 @@ pub fn resolve_entities(
     };
     let left_emb = gather(0, nl);
     let right_emb = gather(1, nr);
-    let predicted = match_embeddings(&left_emb, &right_emb, opts);
+    let predicted = match_embeddings(&left_emb, &right_emb);
     Ok(score_matches(&predicted, truth))
 }
 
@@ -188,27 +170,29 @@ mod tests {
     #[test]
     fn resolves_identical_records() {
         let (l, r, truth) = easy_pair();
-        let res =
-            resolve_entities(&l, &r, &truth, &LevaConfig::fast(), &ErOptions::default()).unwrap();
+        let res = resolve_entities(&l, &r, &truth, &LevaConfig::fast()).unwrap();
         assert!(res.f1 > 0.7, "F1 = {:?}", res);
     }
 
     #[test]
-    fn threshold_one_predicts_nothing() {
-        let (l, r, truth) = easy_pair();
-        let res = resolve_entities(
-            &l,
-            &r,
-            &truth,
-            &LevaConfig::fast(),
-            &ErOptions {
-                threshold: 1.1,
-                mutual: true,
-            },
-        )
-        .unwrap();
-        assert_eq!(res.predicted, 0);
-        assert_eq!(res.f1, 0.0);
+    fn best_match_below_threshold_is_rejected() {
+        // One left and one right row, so the pair is mutual; only the
+        // cosine decides. 0.29 falls below the 0.3 threshold, 0.31 clears it.
+        let left = Matrix::from_rows(&[&[1.0, 0.0]]);
+        let at = |c: f64| Matrix::from_rows(&[&[c, (1.0 - c * c).sqrt()]]);
+        assert!(match_embeddings(&left, &at(0.29)).is_empty());
+        assert_eq!(match_embeddings(&left, &at(0.31)), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn best_match_preferring_another_left_row_is_rejected() {
+        // Both left rows' best (only) candidate is right row 0, whose best
+        // left row is 1. Left row 0 clears the threshold (cosine ≈ 0.89) but
+        // is not mutual, so only (1, 0) is predicted.
+        let left = Matrix::from_rows(&[&[1.0, 0.5], &[1.0, 0.0]]);
+        let right = Matrix::from_rows(&[&[1.0, 0.0]]);
+        assert!(cosine_similarity(left.row(0), right.row(0)) > 0.3);
+        assert_eq!(match_embeddings(&left, &right), vec![(1, 0)]);
     }
 
     #[test]
@@ -222,15 +206,14 @@ mod tests {
             ])
             .unwrap();
         }
-        let res =
-            resolve_entities(&l, &r, &truth, &LevaConfig::fast(), &ErOptions::default()).unwrap();
+        let res = resolve_entities(&l, &r, &truth, &LevaConfig::fast()).unwrap();
         assert!(res.precision > 0.5, "{res:?}");
     }
 
     #[test]
     fn matcher_identity_case() {
         let m = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
-        let pred = match_embeddings(&m, &m, &ErOptions::default());
+        let pred = match_embeddings(&m, &m);
         assert_eq!(pred, vec![(0, 0), (1, 1)]);
         let res = score_matches(&pred, &[(0, 0), (1, 1)]);
         assert_eq!(res.f1, 1.0);
@@ -247,7 +230,7 @@ mod tests {
     #[test]
     fn empty_inputs_are_safe() {
         let empty = Matrix::zeros(0, 4);
-        assert!(match_embeddings(&empty, &empty, &ErOptions::default()).is_empty());
+        assert!(match_embeddings(&empty, &empty).is_empty());
         let res = score_matches(&[], &[]);
         assert_eq!(res.f1, 0.0);
     }

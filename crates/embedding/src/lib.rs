@@ -28,20 +28,9 @@ mod walks;
 pub use corpus::Corpus;
 pub use mf::{build_mf_embedding, proximity_matrix, MfConfig};
 pub use node2vec::{node2vec_walks, Node2VecConfig};
-pub use retrofit::{retrofit_embeddings, RetrofitConfig, RetrofitReport};
+pub use retrofit::{retrofit_embeddings, RetrofitReport};
 pub use sgns::{train_sgns, SgnsConfig, SgnsModel};
 pub use store::{DenseView, EmbeddingBacking, EmbeddingStore, UnknownTokenError};
-pub use walks::{build_alias_tables, estimated_alias_bytes, generate_walks, WalkConfig};
+pub use walks::{generate_walks, WalkConfig};
 
 pub use leva_interner::{TokenId, TokenInterner};
-
-/// Convenience: full random-walk embedding pipeline (walks → SGNS → store).
-pub fn build_rw_embedding(
-    graph: &leva_graph::LevaGraph,
-    walk_cfg: &WalkConfig,
-    sgns_cfg: &SgnsConfig,
-) -> EmbeddingStore {
-    let corpus = generate_walks(graph, walk_cfg);
-    let model = train_sgns(&corpus, sgns_cfg);
-    model.into_store(&corpus, sgns_cfg.dim)
-}

@@ -51,19 +51,21 @@ impl Default for MfConfig {
 /// and negative entries are clamped to zero as in shifted-PPMI
 /// factorization.
 pub fn proximity_matrix(graph: &LevaGraph, tau: f64) -> CsrMatrix {
-    let adj = graph.to_csr();
+    shifted_ppmi(&graph.to_csr(), tau)
+}
+
+/// [`proximity_matrix`] of the graph whose CSR adjacency is `adj`. Zero
+/// entries carry no information; dropping them keeps M sparse.
+fn shifted_ppmi(adj: &CsrMatrix, tau: f64) -> CsrMatrix {
     let total: f64 = adj.total_sum();
     let col_sums = adj.column_sums();
-    let mut m = adj;
-    let row_sums: Vec<f64> = (0..m.n_rows()).map(|r| m.row_sum(r)).collect();
-    m.map_values(|r, c, w| {
+    let row_sums: Vec<f64> = (0..adj.n_rows()).map(|r| adj.row_sum(r)).collect();
+    adj.filter_map(|r, c, w| {
         let p_ij = w / row_sums[r].max(1e-300);
         let p_dj = col_sums[c] / total.max(1e-300);
-        (p_ij.ln() - (tau * p_dj).ln()).max(0.0)
-    });
-    // Zero entries carry no information; dropping them keeps M sparse.
-    m.retain(|_, _, v| v > 0.0);
-    m
+        let v = (p_ij.ln() - (tau * p_dj).ln()).max(0.0);
+        (v > 0.0).then_some(v)
+    })
 }
 
 /// Computes the MF embedding of a graph: every node (row and value nodes)
@@ -74,9 +76,11 @@ pub fn build_mf_embedding(graph: &LevaGraph, cfg: &MfConfig) -> EmbeddingStore {
     if n == 0 {
         return store;
     }
-    let m = proximity_matrix(graph, cfg.tau);
+    // One CSR copy of the adjacency serves both the proximity matrix and
+    // the propagation.
+    let adj = graph.to_csr();
     let svd = randomized_svd(
-        &m,
+        &shifted_ppmi(&adj, cfg.tau),
         RsvdOptions {
             rank: cfg.dim,
             oversample: cfg.oversample,
@@ -95,7 +99,7 @@ pub fn build_mf_embedding(graph: &LevaGraph, cfg: &MfConfig) -> EmbeddingStore {
     }
     if cfg.spectral_propagation {
         emb = spectral_propagate(
-            &graph.to_csr(),
+            &adj,
             &emb,
             ProneOptions {
                 threads: cfg.threads,

@@ -16,7 +16,9 @@
 //!   v ← (α·v₀ + β·Σ w·u) / (α + β·Σ w)
 //! ```
 //!
-//! iterated a fixed number of rounds. Nodes without an old vector (brand-new
+//! iterated a fixed number of rounds. The constants are `ALPHA` = 1 and
+//! `BETA` = 1 (the old vector and the neighbor mass weigh alike) and
+//! `ROUNDS` = 8 Jacobi rounds. Nodes without an old vector (brand-new
 //! rows/values) drop the anchor term (α = 0) and start as the weighted
 //! neighbor mean. The sweep is sequential in ascending node order reading
 //! only the *previous* round's coordinates, so the result is bitwise
@@ -28,26 +30,12 @@ use leva_graph::LevaGraph;
 
 use crate::store::EmbeddingStore;
 
-/// Parameters of the retrofit objective.
-#[derive(Debug, Clone)]
-pub struct RetrofitConfig {
-    /// Anchor strength α toward the pre-delta vector.
-    pub alpha: f64,
-    /// Pull strength β toward patched neighbors.
-    pub beta: f64,
-    /// Jacobi rounds (each reads the previous round's coordinates).
-    pub iterations: usize,
-}
-
-impl Default for RetrofitConfig {
-    fn default() -> Self {
-        Self {
-            alpha: 1.0,
-            beta: 1.0,
-            iterations: 8,
-        }
-    }
-}
+/// Anchor strength α toward the pre-delta vector.
+const ALPHA: f64 = 1.0;
+/// Pull strength β toward patched neighbors.
+const BETA: f64 = 1.0;
+/// Jacobi rounds (each reads the previous round's coordinates).
+const ROUNDS: usize = 8;
 
 /// What a retrofit pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -70,7 +58,6 @@ pub fn retrofit_embeddings(
     store: &mut EmbeddingStore,
     graph: &LevaGraph,
     affected: &[u32],
-    cfg: &RetrofitConfig,
 ) -> RetrofitReport {
     let dim = store.dim();
     let mut nodes: Vec<u32> = affected.to_vec();
@@ -117,7 +104,7 @@ pub fn retrofit_embeddings(
         }
     }
 
-    for _ in 0..cfg.iterations {
+    for _ in 0..ROUNDS {
         let previous = current.clone();
         for (i, &n) in nodes.iter().enumerate() {
             let mut acc = vec![0.0f64; dim];
@@ -129,17 +116,17 @@ pub fn retrofit_embeddings(
                 };
                 if let Some(v) = nbr {
                     for (a, x) in acc.iter_mut().zip(v) {
-                        *a += cfg.beta * w * x;
+                        *a += BETA * w * x;
                     }
-                    mass += cfg.beta * w;
+                    mass += BETA * w;
                 }
             }
             match &anchors[i] {
                 Some(v0) => {
                     for (a, x) in acc.iter_mut().zip(v0) {
-                        *a += cfg.alpha * x;
+                        *a += ALPHA * x;
                     }
-                    mass += cfg.alpha;
+                    mass += ALPHA;
                 }
                 None if mass == 0.0 => continue, // isolated, nothing to solve
                 None => {}
@@ -208,7 +195,7 @@ mod tests {
         for (u, _) in g.neighbors(vn).iter() {
             s.insert_id(g.token(u), &[3.0, 3.0]);
         }
-        let report = retrofit_embeddings(&mut s, &g, &[vn], &RetrofitConfig::default());
+        let report = retrofit_embeddings(&mut s, &g, &[vn]);
         assert_eq!(report.updated, 1);
         let v = s.get_id(g.token(vn)).unwrap();
         assert!(v[0] > 1.0 && v[0] < 3.0, "got {}", v[0]);
@@ -226,7 +213,7 @@ mod tests {
                 missing.insert_id(g.token(n), s.get_id(g.token(n)).unwrap());
             }
         }
-        let report = retrofit_embeddings(&mut missing, &g, &[vn], &RetrofitConfig::default());
+        let report = retrofit_embeddings(&mut missing, &g, &[vn]);
         assert_eq!(report.seeded, 1);
         let v = missing.get_id(g.token(vn)).unwrap();
         assert!((v[0] - 2.0).abs() < 1e-12);
@@ -238,8 +225,8 @@ mod tests {
         let affected: Vec<u32> = (0..g.n_nodes() as u32).collect();
         let mut a = constant_store(&g, 4, 1.5);
         let mut b = constant_store(&g, 4, 1.5);
-        retrofit_embeddings(&mut a, &g, &affected, &RetrofitConfig::default());
-        retrofit_embeddings(&mut b, &g, &affected, &RetrofitConfig::default());
+        retrofit_embeddings(&mut a, &g, &affected);
+        retrofit_embeddings(&mut b, &g, &affected);
         for n in 0..g.n_nodes() as u32 {
             let va = a.get_id(g.token(n)).unwrap();
             let vb = b.get_id(g.token(n)).unwrap();
@@ -253,7 +240,7 @@ mod tests {
     fn isolated_unknown_node_is_reported() {
         let (_tk, g) = small_graph();
         let mut s = EmbeddingStore::with_symbols(std::sync::Arc::clone(g.symbols()), 2);
-        let report = retrofit_embeddings(&mut s, &g, &[0], &RetrofitConfig::default());
+        let report = retrofit_embeddings(&mut s, &g, &[0]);
         assert_eq!(report.isolated, 1);
         assert_eq!(s.len(), 0);
     }

@@ -175,27 +175,14 @@ fn walk_seed(base: u64, iteration: u64, slot: u64, start: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Precomputes alias tables per node for weighted transitions. The memory
-/// cost of this step is what makes weighted walks heavier (§4.3).
-pub fn build_alias_tables(graph: &LevaGraph) -> Vec<Option<AliasTable>> {
-    build_alias_tables_threads(graph, 1)
-}
-
-/// Like [`build_alias_tables`], sharding nodes across `threads` workers
-/// (`0` = available parallelism). Per-node tables are independent, so the
-/// result is identical at any thread count.
-pub fn build_alias_tables_threads(graph: &LevaGraph, threads: usize) -> Vec<Option<AliasTable>> {
+/// Precomputes alias tables per node for weighted transitions, sharding
+/// nodes across `threads` workers (`0` = available parallelism). The memory
+/// cost of this step is what makes weighted walks heavier (§4.3). Per-node
+/// tables are independent, so the result is identical at any thread count.
+fn build_alias_tables_threads(graph: &LevaGraph, threads: usize) -> Vec<Option<AliasTable>> {
     par_map_range(graph.n_nodes(), threads, |u| {
         AliasTable::new(graph.neighbors(u as u32).weights())
     })
-}
-
-/// Estimated bytes of the alias tables for a graph — used by the memory
-/// estimator without actually building them.
-pub fn estimated_alias_bytes(graph: &LevaGraph) -> usize {
-    (0..graph.n_nodes() as u32)
-        .map(|u| graph.degree(u) * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>()))
-        .sum()
 }
 
 /// Generates one walk's node sequence. Purely RNG-driven: visit counters
@@ -433,11 +420,5 @@ mod tests {
         };
         let c = generate_walks(&g, &cfg);
         assert!(!c.sequences.is_empty());
-    }
-
-    #[test]
-    fn alias_bytes_estimate_positive() {
-        let g = sample_graph();
-        assert!(estimated_alias_bytes(&g) > 0);
     }
 }

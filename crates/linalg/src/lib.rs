@@ -30,6 +30,4 @@ pub use prone::{bessel_i, spectral_propagate, ProneOptions};
 pub use qr::thin_q;
 pub use rsvd::{randomized_svd, RsvdOptions, Svd};
 pub use sparse::CsrMatrix;
-pub use vecops::{
-    axpy, cosine_similarity, dot, l1_distance, l2_distance, mean_vector, norm2, normalize,
-};
+pub use vecops::{cosine_similarity, dot, l1_distance, l2_distance, norm2, normalize};

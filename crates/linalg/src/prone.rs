@@ -11,16 +11,18 @@ use crate::dense::Matrix;
 use crate::parallel::for_each_row_band_pair;
 use crate::sparse::CsrMatrix;
 
-/// Parameters of the Chebyshev-Gaussian filter. Defaults follow the ProNE
-/// reference implementation (`mu = 0.2`, `theta = 0.5`, order 10).
+/// Band-pass centre μ of the modulated Gaussian kernel, as in the ProNE
+/// reference implementation.
+const MU: f64 = 0.2;
+/// Kernel bandwidth θ, as in the ProNE reference implementation.
+const THETA: f64 = 0.5;
+
+/// Parameters of the Chebyshev-Gaussian filter (`μ = 0.2` and `θ = 0.5` are
+/// fixed). The default order, 10, follows the ProNE reference implementation.
 #[derive(Debug, Clone, Copy)]
 pub struct ProneOptions {
     /// Chebyshev expansion order (number of propagation hops captured).
     pub order: usize,
-    /// Band-pass centre of the modulated Gaussian kernel.
-    pub mu: f64,
-    /// Kernel bandwidth.
-    pub theta: f64,
     /// Worker threads for the propagation products (`0` = available
     /// parallelism). Results are bitwise identical at any thread count.
     pub threads: usize,
@@ -30,8 +32,6 @@ impl Default for ProneOptions {
     fn default() -> Self {
         Self {
             order: 10,
-            mu: 0.2,
-            theta: 0.5,
             threads: 1,
         }
     }
@@ -67,14 +67,14 @@ pub fn spectral_propagate(adjacency: &CsrMatrix, embedding: &Matrix, opts: Prone
         &mut prev,
         &mut conv,
         Hop::First {
-            c0: bessel_i(0, opts.theta),
-            alpha: -2.0 * bessel_i(1, opts.theta),
+            c0: bessel_i(0, THETA),
+            alpha: -2.0 * bessel_i(1, THETA),
         },
         opts,
     );
     for k in 2..=opts.order {
         let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-        let alpha = sign * 2.0 * bessel_i(k as u32, opts.theta);
+        let alpha = sign * 2.0 * bessel_i(k as u32, THETA);
         let hop = if k == opts.order {
             Hop::Last { alpha, embedding }
         } else {
@@ -114,7 +114,7 @@ fn chebyshev_hop(
     opts: ProneOptions,
 ) {
     let d = x.cols();
-    let keep = 1.0 - opts.mu;
+    let keep = 1.0 - MU;
     for_each_row_band_pair(
         t.data_mut(),
         conv.data_mut(),
@@ -237,15 +237,15 @@ mod tests {
         let apply_m = |x: &Matrix| -> Matrix {
             let mut px = p.spmm_dense_threads(x, opts.threads);
             for (o, &v) in px.data_mut().iter_mut().zip(x.data()) {
-                *o = (1.0 - opts.mu) * v - *o;
+                *o = (1.0 - MU) * v - *o;
             }
             px
         };
         let mut lx0 = embedding.clone();
         let mut lx1 = apply_m(&lx0);
         let mut conv = lx0.clone();
-        conv.scale(bessel_i(0, opts.theta));
-        add_scaled(&mut conv, &lx1, -2.0 * bessel_i(1, opts.theta));
+        conv.scale(bessel_i(0, THETA));
+        add_scaled(&mut conv, &lx1, -2.0 * bessel_i(1, THETA));
         for k in 2..=opts.order {
             let mut lx2 = apply_m(&lx1);
             lx2.scale(2.0);
@@ -253,7 +253,7 @@ mod tests {
                 *t -= o;
             }
             let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-            add_scaled(&mut conv, &lx2, sign * 2.0 * bessel_i(k as u32, opts.theta));
+            add_scaled(&mut conv, &lx2, sign * 2.0 * bessel_i(k as u32, THETA));
             lx0 = lx1;
             lx1 = lx2;
         }
@@ -337,11 +337,7 @@ mod tests {
         let g = graph_with_loops_and_isolated_nodes(n);
         let e = embedding_of(n, d);
         for order in [1, 2, 3, 10] {
-            let base = ProneOptions {
-                order,
-                threads: 1,
-                ..ProneOptions::default()
-            };
+            let base = ProneOptions { order, threads: 1 };
             let want = spectral_propagate_unfused(&g, &e, base);
             for threads in [1, 2, 8] {
                 assert_eq!(band_workers(n * d, d, threads), threads);
@@ -396,8 +392,6 @@ mod tests {
             &e,
             ProneOptions {
                 order: 4,
-                mu: 0.2,
-                theta: 0.5,
                 threads: 1,
             },
         );
@@ -415,8 +409,6 @@ mod tests {
             &e,
             ProneOptions {
                 order: 1,
-                mu: 0.2,
-                theta: 0.5,
                 threads: 1,
             },
         );

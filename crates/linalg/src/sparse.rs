@@ -99,34 +99,25 @@ impl CsrMatrix {
         sums
     }
 
-    /// Applies `f` to every stored value.
-    pub fn map_values(&mut self, mut f: impl FnMut(usize, usize, f64) -> f64) {
+    /// A new matrix holding `f(r, c, v)` for every stored entry `(r, c, v)`
+    /// where it returns `Some`, in the same positions; entries where it
+    /// returns `None` are dropped.
+    pub fn filter_map(&self, mut f: impl FnMut(usize, usize, f64) -> Option<f64>) -> CsrMatrix {
+        let mut indptr = Vec::with_capacity(self.n_rows + 1);
+        let mut indices = Vec::with_capacity(self.nnz());
+        let mut data = Vec::with_capacity(self.nnz());
+        indptr.push(0);
         for r in 0..self.n_rows {
             for idx in self.indptr[r]..self.indptr[r + 1] {
-                self.data[idx] = f(r, self.indices[idx] as usize, self.data[idx]);
-            }
-        }
-    }
-
-    /// Drops stored entries for which `keep` returns false.
-    pub fn retain(&mut self, mut keep: impl FnMut(usize, usize, f64) -> bool) {
-        let mut new_indptr = vec![0usize; self.n_rows + 1];
-        let mut new_indices = Vec::with_capacity(self.indices.len());
-        let mut new_data = Vec::with_capacity(self.data.len());
-        for r in 0..self.n_rows {
-            for idx in self.indptr[r]..self.indptr[r + 1] {
-                let c = self.indices[idx] as usize;
-                let v = self.data[idx];
-                if keep(r, c, v) {
-                    new_indices.push(c as u32);
-                    new_data.push(v);
+                let c = self.indices[idx];
+                if let Some(v) = f(r, c as usize, self.data[idx]) {
+                    indices.push(c);
+                    data.push(v);
                 }
             }
-            new_indptr[r + 1] = new_indices.len();
+            indptr.push(indices.len());
         }
-        self.indptr = new_indptr;
-        self.indices = new_indices;
-        self.data = new_data;
+        Self::from_parts(self.n_rows, self.n_cols, indptr, indices, data)
     }
 
     /// Sparse matrix × dense vector.
@@ -465,13 +456,14 @@ mod tests {
     }
 
     #[test]
-    fn retain_and_map() {
-        let mut m = sample();
-        m.map_values(|_, _, v| v * 2.0);
+    fn filter_map_maps_and_drops() {
+        let m = sample().filter_map(|_, _, v| Some(v * 2.0));
         assert_eq!(m.total_sum(), 20.0);
-        m.retain(|_, _, v| v > 4.0);
+        let m = m.filter_map(|_, _, v| (v > 4.0).then_some(v));
         assert_eq!(m.nnz(), 2); // 6 and 8 survive
         assert_eq!(m.row_sum(2), 14.0);
+        assert_eq!(m.row(0).count(), 0);
+        assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(0, 6.0), (1, 8.0)]);
     }
 
     #[test]

@@ -6,14 +6,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// `y += alpha * x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Euclidean (L2) norm.
 pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
@@ -56,25 +48,6 @@ pub fn normalize(a: &mut [f64]) {
     }
 }
 
-/// Element-wise mean of several equal-length vectors; `None` when empty.
-pub fn mean_vector<'a, I: IntoIterator<Item = &'a [f64]>>(vecs: I) -> Option<Vec<f64>> {
-    let mut iter = vecs.into_iter();
-    let first = iter.next()?;
-    let mut acc = first.to_vec();
-    let mut count = 1usize;
-    for v in iter {
-        debug_assert_eq!(v.len(), acc.len());
-        for (a, &x) in acc.iter_mut().zip(v) {
-            *a += x;
-        }
-        count += 1;
-    }
-    for a in &mut acc {
-        *a /= count as f64;
-    }
-    Some(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,13 +72,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, -1.0], &mut y);
-        assert_eq!(y, vec![3.0, -1.0]);
-    }
-
-    #[test]
     fn normalize_unit() {
         let mut v = vec![3.0, 4.0];
         normalize(&mut v);
@@ -113,14 +79,5 @@ mod tests {
         let mut z = vec![0.0, 0.0];
         normalize(&mut z);
         assert_eq!(z, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn mean_vector_works() {
-        let a = [1.0, 2.0];
-        let b = [3.0, 4.0];
-        let m = mean_vector([a.as_slice(), b.as_slice()]).unwrap();
-        assert_eq!(m, vec![2.0, 3.0]);
-        assert!(mean_vector(std::iter::empty::<&[f64]>()).is_none());
     }
 }

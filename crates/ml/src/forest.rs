@@ -1,4 +1,5 @@
 //! Random forests: bagged CART trees with per-split feature subsampling.
+//! Every tree grows on its own bootstrap sample of the training rows.
 
 use crate::model::Model;
 use crate::tree::{DecisionTree, TreeConfig};
@@ -14,8 +15,6 @@ pub struct ForestConfig {
     /// Per-tree growth parameters. `max_features = None` defaults to
     /// √d (classification) / d/3 (regression) at fit time.
     pub tree: TreeConfig,
-    /// Bootstrap-sample the training rows per tree.
-    pub bootstrap: bool,
     /// RNG seed.
     pub seed: u64,
 }
@@ -25,7 +24,6 @@ impl Default for ForestConfig {
         Self {
             n_trees: 50,
             tree: TreeConfig::default(),
-            bootstrap: true,
             seed: 0xf0e,
         }
     }
@@ -93,13 +91,7 @@ impl RandomForest {
             }
         });
         let samples: Vec<Vec<usize>> = (0..self.cfg.n_trees)
-            .map(|_| {
-                if self.cfg.bootstrap {
-                    (0..n).map(|_| rng.gen_range(0..n)).collect()
-                } else {
-                    (0..n).collect()
-                }
-            })
+            .map(|_| (0..n).map(|_| rng.gen_range(0..n)).collect())
             .collect();
         self.trees = par_map_range(self.cfg.n_trees, threads, |t| {
             let tree_cfg = TreeConfig {
@@ -208,11 +200,7 @@ mod tests {
             } else {
                 DecisionTree::regressor(tree_cfg)
             };
-            let indices: Vec<usize> = if f.cfg.bootstrap {
-                (0..n).map(|_| rng.gen_range(0..n)).collect()
-            } else {
-                (0..n).collect()
-            };
+            let indices: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
             tree.fit_indices(x, y, &indices);
             for (acc, &imp) in f.importance.iter_mut().zip(tree.feature_importance()) {
                 *acc += imp;
@@ -253,40 +241,34 @@ mod tests {
     #[test]
     fn threaded_fit_is_bitwise_the_sequential_fit() {
         let (x, classes, targets) = tied_data();
-        for bootstrap in [true, false] {
-            let cfg = ForestConfig {
-                n_trees: 7,
-                tree: TreeConfig {
-                    max_depth: 6,
-                    ..TreeConfig::default()
-                },
-                bootstrap,
-                seed: 99,
-            };
-            let cases = [
-                (RandomForest::classifier(3, cfg), &classes),
-                (RandomForest::regressor(cfg), &targets),
-            ];
-            for (unfitted, y) in cases {
-                let mut want = unfitted.clone();
-                fit_sequential(&mut want, &x, y);
-                let want_trees = format!("{:?}", want.trees);
-                let want_imp: Vec<u64> = want.importance.iter().map(|v| v.to_bits()).collect();
-                let want_pred: Vec<u64> = want.predict(&x).iter().map(|v| v.to_bits()).collect();
-                assert!(want.importance.iter().all(|&v| v > 0.0));
-                for threads in [1, 2, 8] {
-                    let mut got = unfitted.clone();
-                    got.fit_threads(&x, y, threads);
-                    let case = format!(
-                        "classification={} bootstrap={bootstrap} threads={threads}",
-                        got.classification
-                    );
-                    assert_eq!(format!("{:?}", got.trees), want_trees, "{case}");
-                    let imp: Vec<u64> = got.importance.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(imp, want_imp, "{case}");
-                    let pred: Vec<u64> = got.predict(&x).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(pred, want_pred, "{case}");
-                }
+        let cfg = ForestConfig {
+            n_trees: 7,
+            tree: TreeConfig {
+                max_depth: 6,
+                ..TreeConfig::default()
+            },
+            seed: 99,
+        };
+        let cases = [
+            (RandomForest::classifier(3, cfg), &classes),
+            (RandomForest::regressor(cfg), &targets),
+        ];
+        for (unfitted, y) in cases {
+            let mut want = unfitted.clone();
+            fit_sequential(&mut want, &x, y);
+            let want_trees = format!("{:?}", want.trees);
+            let want_imp: Vec<u64> = want.importance.iter().map(|v| v.to_bits()).collect();
+            let want_pred: Vec<u64> = want.predict(&x).iter().map(|v| v.to_bits()).collect();
+            assert!(want.importance.iter().all(|&v| v > 0.0));
+            for threads in [1, 2, 8] {
+                let mut got = unfitted.clone();
+                got.fit_threads(&x, y, threads);
+                let case = format!("classification={} threads={threads}", got.classification);
+                assert_eq!(format!("{:?}", got.trees), want_trees, "{case}");
+                let imp: Vec<u64> = got.importance.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(imp, want_imp, "{case}");
+                let pred: Vec<u64> = got.predict(&x).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(pred, want_pred, "{case}");
             }
         }
     }
@@ -356,20 +338,5 @@ mod tests {
         a.fit(&x, &y);
         b.fit(&x, &y);
         assert_eq!(a.predict(&x), b.predict(&x));
-    }
-
-    #[test]
-    fn no_bootstrap_uses_all_rows() {
-        let (x, y) = xor_data();
-        let mut f = RandomForest::classifier(
-            2,
-            ForestConfig {
-                bootstrap: false,
-                n_trees: 5,
-                ..Default::default()
-            },
-        );
-        f.fit(&x, &y);
-        assert!(accuracy(&y, &f.predict(&x)) > 0.95);
     }
 }

@@ -61,31 +61,6 @@ where
     }
 }
 
-/// Fits the winning candidate on the full training data and evaluates on a
-/// provided test set; returns (test metric, winning index). The metric is
-/// accuracy (classification) or MAE (regression), *not* negated.
-pub fn fit_best_and_score<F>(
-    n_candidates: usize,
-    train: &Dataset,
-    test: &Dataset,
-    val_fraction: f64,
-    seed: u64,
-    mut make: F,
-) -> (f64, usize)
-where
-    F: FnMut(usize) -> Box<dyn Model>,
-{
-    let gs = grid_search(n_candidates, train, val_fraction, seed, &mut make);
-    let mut model = make(gs.best_index);
-    model.fit(&train.x, &train.y);
-    let pred = model.predict(&test.x);
-    let metric = match train.task {
-        Task::Classification { .. } => accuracy(&test.y, &pred),
-        Task::Regression => mae(&test.y, &pred),
-    };
-    (metric, gs.best_index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,17 +84,6 @@ mod tests {
         });
         assert_eq!(result.best_index, 0);
         assert!(result.scores[0] > result.scores[1]);
-    }
-
-    #[test]
-    fn fit_best_reports_test_metric() {
-        let data = linear_data();
-        let (train, test) = train_test_split(&data, 0.2, 1);
-        let (metric, idx) = fit_best_and_score(2, &train, &test, 0.25, 3, |i| {
-            Box::new(LinearRegression::new([1e-8, 1000.0][i]))
-        });
-        assert_eq!(idx, 0);
-        assert!(metric < 0.1, "MAE should be tiny, got {metric}");
     }
 
     #[test]

@@ -3,11 +3,10 @@
 //! A from-scratch downstream-ML substrate for the Leva reproduction: the
 //! exact model families the paper evaluates — random forests, logistic
 //! regression with ElasticNet regularization, ElasticNet/linear regression,
-//! and 2-layer fully connected neural networks — plus metrics (accuracy,
-//! MAE, R², F1), seeded train/test splitting, grid search, and the
-//! feature-selection algorithms behind the *Full Table + Feature
-//! Engineering* baseline (mutual information and ARDA-style random
-//! injection).
+//! and 2-layer fully connected neural networks — plus the paper's metrics
+//! (accuracy, MAE; R² for the tests), seeded train/test splitting, grid
+//! search, and the ARDA-style random-injection selector behind the
+//! *Full Table + Feature Engineering* baseline.
 
 #![warn(missing_docs)]
 // Index loops are the clearest idiom in the numeric kernels below.
@@ -15,7 +14,6 @@
 
 mod dataset;
 mod elasticnet;
-mod evaluate;
 mod forest;
 mod gridsearch;
 mod linear;
@@ -29,16 +27,13 @@ mod tree;
 
 pub use dataset::{Dataset, Standardizer, Task};
 pub use elasticnet::ElasticNet;
-pub use evaluate::{binary_macro_f1, cross_validate, ConfusionMatrix, CvResult};
 pub use forest::{ForestConfig, RandomForest};
-pub use gridsearch::{fit_best_and_score, grid_search, GridSearchResult};
+pub use gridsearch::{grid_search, GridSearchResult};
 pub use linear::LinearRegression;
 pub use logistic::LogisticRegression;
-pub use metrics::{accuracy, f1_score, mae, mse, r2_score, F1};
+pub use metrics::{accuracy, mae, r2_score};
 pub use mlp::{Mlp, MlpConfig};
 pub use model::{solve_linear_system, Model};
-pub use select::{
-    mutual_information, project_columns, random_injection_selection, select_k_best_mi,
-};
-pub use split::{kfold_indices, train_test_split};
+pub use select::{project_columns, random_injection_selection};
+pub use split::train_test_split;
 pub use tree::{DecisionTree, TreeConfig};

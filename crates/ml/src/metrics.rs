@@ -29,20 +29,6 @@ pub fn mae(y_true: &[f64], y_pred: &[f64]) -> f64 {
         / y_true.len() as f64
 }
 
-/// Mean squared error.
-pub fn mse(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len());
-    if y_true.is_empty() {
-        return 0.0;
-    }
-    y_true
-        .iter()
-        .zip(y_pred)
-        .map(|(a, b)| (a - b).powi(2))
-        .sum::<f64>()
-        / y_true.len() as f64
-}
-
 /// Coefficient of determination R². 1.0 = perfect, 0.0 = mean predictor,
 /// negative = worse than the mean predictor.
 pub fn r2_score(y_true: &[f64], y_pred: &[f64]) -> f64 {
@@ -63,55 +49,6 @@ pub fn r2_score(y_true: &[f64], y_pred: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Binary precision/recall/F1 for label `positive`.
-pub fn f1_score(y_true: &[f64], y_pred: &[f64], positive: f64) -> F1 {
-    assert_eq!(y_true.len(), y_pred.len());
-    let mut tp = 0usize;
-    let mut fp = 0usize;
-    let mut fn_ = 0usize;
-    for (&t, &p) in y_true.iter().zip(y_pred) {
-        let t_pos = (t - positive).abs() < 0.5;
-        let p_pos = (p - positive).abs() < 0.5;
-        match (t_pos, p_pos) {
-            (true, true) => tp += 1,
-            (false, true) => fp += 1,
-            (true, false) => fn_ += 1,
-            (false, false) => {}
-        }
-    }
-    let precision = if tp + fp == 0 {
-        0.0
-    } else {
-        tp as f64 / (tp + fp) as f64
-    };
-    let recall = if tp + fn_ == 0 {
-        0.0
-    } else {
-        tp as f64 / (tp + fn_) as f64
-    };
-    let f1 = if precision + recall < 1e-300 {
-        0.0
-    } else {
-        2.0 * precision * recall / (precision + recall)
-    };
-    F1 {
-        precision,
-        recall,
-        f1,
-    }
-}
-
-/// Precision/recall/F1 triple.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F1 {
-    /// tp / (tp + fp)
-    pub precision: f64,
-    /// tp / (tp + fn)
-    pub recall: f64,
-    /// Harmonic mean of precision and recall.
-    pub f1: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,9 +60,8 @@ mod tests {
     }
 
     #[test]
-    fn mae_mse() {
+    fn mae_basic() {
         assert_eq!(mae(&[1.0, 2.0], &[2.0, 0.0]), 1.5);
-        assert_eq!(mse(&[1.0, 2.0], &[2.0, 0.0]), 2.5);
     }
 
     #[test]
@@ -142,20 +78,5 @@ mod tests {
     fn r2_constant_target() {
         assert_eq!(r2_score(&[2.0, 2.0], &[2.0, 2.0]), 1.0);
         assert_eq!(r2_score(&[2.0, 2.0], &[3.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn f1_basic() {
-        // truth:  1 1 0 0 ; pred: 1 0 1 0 => tp=1 fp=1 fn=1
-        let f = f1_score(&[1.0, 1.0, 0.0, 0.0], &[1.0, 0.0, 1.0, 0.0], 1.0);
-        assert_eq!(f.precision, 0.5);
-        assert_eq!(f.recall, 0.5);
-        assert_eq!(f.f1, 0.5);
-    }
-
-    #[test]
-    fn f1_degenerate() {
-        let f = f1_score(&[0.0, 0.0], &[0.0, 0.0], 1.0);
-        assert_eq!(f.f1, 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Feature selection for the *Full Table + Feature Engineering* baseline:
-//! mutual-information ranking, plus the ARDA-style random-injection filter
-//! (Chepurko et al., VLDB'20) that keeps only features whose random-forest
-//! importance beats injected random probes.
+//! the ARDA-style random-injection filter (Chepurko et al., VLDB'20) that
+//! keeps only features whose random-forest importance beats injected random
+//! probes, and the column projection that applies its choice.
 
 use crate::forest::{ForestConfig, RandomForest};
 use crate::model::Model;
@@ -9,74 +9,6 @@ use leva_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-
-/// Estimates the mutual information between a (discretized) feature column
-/// and the target. Both sides are quantized into up to `bins` equal-width
-/// bins. Returned in nats.
-pub fn mutual_information(feature: &[f64], target: &[f64], bins: usize) -> f64 {
-    assert_eq!(feature.len(), target.len());
-    let n = feature.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let fx = discretize(feature, bins);
-    let fy = discretize(target, bins);
-    let kx = fx.iter().copied().max().unwrap_or(0) + 1;
-    let ky = fy.iter().copied().max().unwrap_or(0) + 1;
-    let mut joint = vec![0.0f64; kx * ky];
-    let mut px = vec![0.0f64; kx];
-    let mut py = vec![0.0f64; ky];
-    let inv = 1.0 / n as f64;
-    for i in 0..n {
-        joint[fx[i] * ky + fy[i]] += inv;
-        px[fx[i]] += inv;
-        py[fy[i]] += inv;
-    }
-    let mut mi = 0.0;
-    for a in 0..kx {
-        for b in 0..ky {
-            let j = joint[a * ky + b];
-            if j > 1e-12 {
-                mi += j * (j / (px[a] * py[b])).ln();
-            }
-        }
-    }
-    mi.max(0.0)
-}
-
-fn discretize(values: &[f64], bins: usize) -> Vec<usize> {
-    let bins = bins.max(2);
-    let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if max <= min {
-        return vec![0; values.len()];
-    }
-    let width = (max - min) / bins as f64;
-    values
-        .iter()
-        .map(|&v| (((v - min) / width) as usize).min(bins - 1))
-        .collect()
-}
-
-/// Ranks features by mutual information with the target and returns the
-/// indices of the top `k`.
-pub fn select_k_best_mi(x: &Matrix, y: &[f64], k: usize, bins: usize) -> Vec<usize> {
-    let d = x.cols();
-    let mut scored: Vec<(usize, f64)> = (0..d)
-        .map(|c| {
-            let col: Vec<f64> = (0..x.rows()).map(|r| x[(r, c)]).collect();
-            (c, mutual_information(&col, y, bins))
-        })
-        .collect();
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("finite MI")
-            .then(a.0.cmp(&b.0))
-    });
-    let mut keep: Vec<usize> = scored.into_iter().take(k.min(d)).map(|(c, _)| c).collect();
-    keep.sort_unstable();
-    keep
-}
 
 /// ARDA-style random-injection selection: append `n_probes` permuted copies
 /// of real columns as noise probes, fit a random forest, and keep only the
@@ -177,29 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn mi_detects_dependence() {
-        let (x, y) = signal_and_noise();
-        let col = |c: usize| -> Vec<f64> { (0..x.rows()).map(|r| x[(r, c)]).collect() };
-        let mi_strong = mutual_information(&col(0), &y, 10);
-        let mi_noise = mutual_information(&col(2), &y, 10);
-        assert!(mi_strong > mi_noise + 0.1, "{mi_strong} vs {mi_noise}");
-    }
-
-    #[test]
-    fn mi_of_independent_is_near_zero() {
-        let a: Vec<f64> = (0..500).map(|i| ((i * 37) % 100) as f64).collect();
-        let b: Vec<f64> = (0..500).map(|i| ((i * 61 + 7) % 100) as f64).collect();
-        assert!(mutual_information(&a, &b, 5) < 0.15);
-    }
-
-    #[test]
-    fn k_best_keeps_signal() {
-        let (x, y) = signal_and_noise();
-        let keep = select_k_best_mi(&x, &y, 1, 10);
-        assert_eq!(keep, vec![0]);
-    }
-
-    #[test]
     fn random_injection_drops_noise() {
         let (x, y) = signal_and_noise();
         let keep = random_injection_selection(&x, &y, true, 2, 6, 1.0, 5);
@@ -214,12 +123,5 @@ mod tests {
         assert_eq!(p.cols(), 2);
         assert_eq!(p[(0, 0)], x[(0, 2)]);
         assert_eq!(p[(0, 1)], x[(0, 0)]);
-    }
-
-    #[test]
-    fn constant_feature_mi_zero() {
-        let a = vec![3.0; 100];
-        let y: Vec<f64> = (0..100).map(|i| (i % 2) as f64).collect();
-        assert_eq!(mutual_information(&a, &y, 10), 0.0);
     }
 }

@@ -1,4 +1,4 @@
-//! Train/test splitting and k-fold cross-validation (seeded, deterministic).
+//! Seeded, deterministic train/test splitting.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -19,31 +19,6 @@ pub fn train_test_split(data: &Dataset, test_fraction: f64, seed: u64) -> (Datas
     let n_test = ((n as f64) * test_fraction).round() as usize;
     let (test_idx, train_idx) = indices.split_at(n_test.min(n));
     (data.select(train_idx), data.select(test_idx))
-}
-
-/// Yields `k` (train, validation) index splits for cross-validation.
-pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    assert!(k >= 2, "k-fold requires k >= 2");
-    let mut indices: Vec<usize> = (0..n).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    let fold_size = n.div_ceil(k);
-    let mut out = Vec::with_capacity(k);
-    for f in 0..k {
-        let lo = f * fold_size;
-        let hi = ((f + 1) * fold_size).min(n);
-        if lo >= hi {
-            break;
-        }
-        let val: Vec<usize> = indices[lo..hi].to_vec();
-        let train: Vec<usize> = indices[..lo]
-            .iter()
-            .chain(&indices[hi..])
-            .copied()
-            .collect();
-        out.push((train, val));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -80,24 +55,5 @@ mod tests {
         let (a, _) = train_test_split(&data(30), 0.5, 7);
         let (b, _) = train_test_split(&data(30), 0.5, 7);
         assert_eq!(a.y, b.y);
-    }
-
-    #[test]
-    fn kfold_covers_everything_once() {
-        let folds = kfold_indices(25, 5, 3);
-        assert_eq!(folds.len(), 5);
-        let mut seen: Vec<usize> = folds.iter().flat_map(|(_, v)| v.clone()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..25).collect::<Vec<usize>>());
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), 25);
-            assert!(val.iter().all(|i| !train.contains(i)));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 2")]
-    fn kfold_k1_panics() {
-        kfold_indices(10, 1, 0);
     }
 }

@@ -6,6 +6,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Minimum samples a node must hold for a split to be attempted.
+const MIN_SAMPLES_SPLIT: usize = 2;
+
 /// Tree growth parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeConfig {
@@ -14,8 +17,6 @@ pub struct TreeConfig {
     /// Minimum samples a leaf may hold — the "minimum number of nodes per
     /// leaf node" regularizer the paper applies to forests (Table 6).
     pub min_samples_leaf: usize,
-    /// Minimum samples required to attempt a split.
-    pub min_samples_split: usize,
     /// Features considered per split (None = all; forests use sqrt(d)).
     pub max_features: Option<usize>,
     /// RNG seed for feature subsampling.
@@ -27,7 +28,6 @@ impl Default for TreeConfig {
         Self {
             max_depth: 12,
             min_samples_leaf: 1,
-            min_samples_split: 2,
             max_features: None,
             seed: 0x7ee,
         }
@@ -143,9 +143,8 @@ impl DecisionTree {
         rng: &mut StdRng,
     ) -> usize {
         let impurity = self.impurity(y, indices);
-        let stop = depth >= self.cfg.max_depth
-            || indices.len() < self.cfg.min_samples_split
-            || impurity < 1e-12;
+        let stop =
+            depth >= self.cfg.max_depth || indices.len() < MIN_SAMPLES_SPLIT || impurity < 1e-12;
         if stop {
             return self.push_leaf(y, indices);
         }

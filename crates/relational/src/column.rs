@@ -23,13 +23,6 @@ pub enum DataType {
     Unknown,
 }
 
-impl DataType {
-    /// True for types the textifier treats as numeric (binnable).
-    pub fn is_numeric(self) -> bool {
-        matches!(self, DataType::Int | DataType::Float)
-    }
-}
-
 /// A named column of values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Column {

@@ -18,7 +18,7 @@ use crate::error::{RelationalError, Result};
 use crate::ingest::{CellIssue, IngestMode, IngestOptions, IngestReport, IssueReason};
 use crate::table::Table;
 use crate::value::Value;
-use std::io::{BufRead, Write};
+use std::io::Write;
 
 /// Sentinel spellings tallied into the report's census. Lowercased; the
 /// pipeline itself detects sentinels dynamically by voting — the census is
@@ -48,32 +48,10 @@ pub struct Ingested {
     pub report: IngestReport,
 }
 
-/// Parses CSV from a reader into a [`Table`] under strict ingestion. The
-/// first record is the header.
-pub fn read_csv<R: BufRead>(name: &str, reader: R) -> Result<Table> {
-    read_csv_with(name, reader, &IngestOptions::strict()).map(|i| i.table)
-}
-
-/// Parses a CSV string into a table under strict ingestion.
+/// Parses a CSV string into a [`Table`] under strict ingestion. The first
+/// record is the header.
 pub fn read_csv_str(name: &str, data: &str) -> Result<Table> {
     read_csv_str_with(name, data, &IngestOptions::strict()).map(|i| i.table)
-}
-
-/// Parses CSV from a reader under the given ingestion options, returning the
-/// table plus the quarantine report.
-pub fn read_csv_with<R: BufRead>(
-    name: &str,
-    mut reader: R,
-    opts: &IngestOptions,
-) -> Result<Ingested> {
-    let mut bytes = Vec::new();
-    reader
-        .read_to_end(&mut bytes)
-        .map_err(|e| RelationalError::Csv {
-            line: 0,
-            message: e.to_string(),
-        })?;
-    read_csv_bytes(name, &bytes, opts)
 }
 
 /// Parses a CSV string under the given ingestion options.

@@ -79,11 +79,6 @@ fn days_in_month(y: i64, m: u32) -> u32 {
     }
 }
 
-/// True when the string looks like (and parses as) a supported datetime.
-pub fn looks_like_datetime(s: &str) -> bool {
-    parse_datetime(s).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,11 +141,5 @@ mod tests {
         let a = parse_datetime("1999-12-31T23:59:59").unwrap();
         let b = parse_datetime("2000-01-01T00:00:00").unwrap();
         assert_eq!(b - a, 1);
-    }
-
-    #[test]
-    fn looks_like() {
-        assert!(looks_like_datetime("2024-05-17"));
-        assert!(!looks_like_datetime("customer_17"));
     }
 }

@@ -170,8 +170,9 @@ impl IngestReport {
     }
 
     /// Records an issue, keeping the exact total while capping the
-    /// individually stored entries.
-    pub(crate) fn record(&mut self, issue: CellIssue, cap: usize) {
+    /// individually stored entries at `cap` (the caller's
+    /// [`IngestOptions::max_recorded_issues`]).
+    pub fn record(&mut self, issue: CellIssue, cap: usize) {
         self.issues_total += 1;
         if self.issues.len() < cap {
             self.issues.push(issue);

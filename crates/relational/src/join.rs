@@ -1,83 +1,14 @@
-//! Joins.
-//!
-//! Two flavours are provided:
-//!
-//! * [`hash_join`] — a classic row-multiplying hash join.
-//! * [`augment_join`] — the cardinality-preserving left join the paper's
-//!   *Full Table* baseline needs: the base table keeps exactly one output row
-//!   per input row, and 1:N / N:M matches on the other side are aggregated
-//!   (numeric → mean, everything else → mode). This is the "handle different
-//!   join cardinalities" chore §2.2 describes analysts doing by hand.
+//! The cardinality-preserving left join the paper's *Full Table* baseline
+//! needs: [`augment_join`] keeps exactly one output row per base row, and
+//! 1:N / N:M matches on the other side are aggregated (numeric → mean,
+//! everything else → mode). This is the "handle different join
+//! cardinalities" chore §2.2 describes analysts doing by hand.
 
 use crate::column::Column;
 use crate::error::Result;
 use crate::table::Table;
 use crate::value::Value;
 use std::collections::HashMap;
-
-/// Join kind for [`hash_join`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    /// Keep only matching rows.
-    Inner,
-    /// Keep all left rows; unmatched right columns become null.
-    Left,
-}
-
-/// Hash join of `left` and `right` on `left.left_col == right.right_col`
-/// (matching by rendered value; nulls never match). Output columns are the
-/// left columns followed by the right columns prefixed with the right table's
-/// name.
-pub fn hash_join(
-    left: &Table,
-    right: &Table,
-    left_col: &str,
-    right_col: &str,
-    kind: JoinKind,
-) -> Result<Table> {
-    let lidx = left.column_index(left_col)?;
-    let ridx = right.column_index(right_col)?;
-    let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-    for (r, v) in right.columns()[ridx].values().iter().enumerate() {
-        if !v.is_null() {
-            index.entry(v.render()).or_default().push(r);
-        }
-    }
-    let out_name = format!("{}_join_{}", left.name(), right.name());
-    let mut out_cols: Vec<Column> = left
-        .column_names()
-        .iter()
-        .map(|n| Column::new((*n).to_owned()))
-        .collect();
-    for n in right.column_names() {
-        out_cols.push(Column::new(format!("{}.{}", right.name(), n)));
-    }
-    let lw = left.column_count();
-    let mut out = Table::from_columns(out_name, out_cols)?;
-    for lr in 0..left.row_count() {
-        let key = left.value(lr, lidx)?;
-        let matches: &[usize] = if key.is_null() {
-            &[]
-        } else {
-            index.get(&key.render()).map(Vec::as_slice).unwrap_or(&[])
-        };
-        if matches.is_empty() {
-            if kind == JoinKind::Left {
-                let mut row = left.row(lr)?;
-                row.extend(std::iter::repeat_n(Value::Null, right.column_count()));
-                out.push_row(row)?;
-            }
-            continue;
-        }
-        for &rr in matches {
-            let mut row = left.row(lr)?;
-            row.extend(right.row(rr)?);
-            debug_assert_eq!(row.len(), lw + right.column_count());
-            out.push_row(row)?;
-        }
-    }
-    Ok(out)
-}
 
 /// Cardinality-preserving augmentation join: appends the non-key columns of
 /// `other` to `base`, aggregating multiple matches so the output has exactly
@@ -176,26 +107,6 @@ mod tests {
     }
 
     #[test]
-    fn inner_join_multiplies_rows() {
-        let j = hash_join(&base(), &prices(), "item", "item", JoinKind::Inner).unwrap();
-        assert_eq!(j.row_count(), 3); // pen x2 + ink x1; null row dropped
-        assert_eq!(
-            j.column_names(),
-            vec!["id", "item", "prices.item", "prices.price"]
-        );
-    }
-
-    #[test]
-    fn left_join_keeps_unmatched() {
-        let j = hash_join(&base(), &prices(), "item", "item", JoinKind::Left).unwrap();
-        assert_eq!(j.row_count(), 4);
-        // The null-key base row survives with null right columns.
-        let last = j.row(3).unwrap();
-        assert_eq!(last[0], Value::Int(3));
-        assert!(last[3].is_null());
-    }
-
-    #[test]
     fn augment_preserves_cardinality_and_aggregates() {
         let a = augment_join(&base(), &prices(), "item", "item").unwrap();
         assert_eq!(a.row_count(), 3);
@@ -219,7 +130,7 @@ mod tests {
 
     #[test]
     fn join_on_missing_column_errors() {
-        assert!(hash_join(&base(), &prices(), "nope", "item", JoinKind::Inner).is_err());
+        assert!(augment_join(&base(), &prices(), "nope", "item").is_err());
         assert!(augment_join(&base(), &prices(), "item", "nope").is_err());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example entity_resolution`
 
-use leva::{resolve_entities, ErOptions, LevaConfig};
+use leva::{resolve_entities, LevaConfig};
 use leva_datasets::{er_dataset, ErDifficulty};
 
 fn main() {
@@ -25,14 +25,7 @@ fn main() {
     ] {
         let ds = er_dataset("demo", 100, difficulty, 0xbeef);
         let cfg = LevaConfig::fast().with_dim(32).with_seed(1);
-        let result = resolve_entities(
-            &ds.left,
-            &ds.right,
-            &ds.matches,
-            &cfg,
-            &ErOptions::default(),
-        )
-        .expect("er runs");
+        let result = resolve_entities(&ds.left, &ds.right, &ds.matches, &cfg).expect("er runs");
         println!(
             "{label}: P={:.2} R={:.2} F1={:.2} ({} predicted over {} left x {} right records)",
             result.precision,

@@ -32,3 +32,6 @@ echo "==> cargo doc --workspace --no-deps (rustdoc warnings, including broken in
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "All checks passed."
+
+echo "==> net non-test Rust lines (information only, not a gate)"
+scripts/loc.sh
